@@ -58,6 +58,16 @@ REPRO_AUDIT_EFFECTS=1 timeout 300 python -m pytest \
 # 1M experiment stays in `pytest -m bench`, see benchmarks/)
 timeout 300 python scripts/sharded_smoke.py --certificates 100000
 
+# the end-to-end benchmark's own suite, a smoke run of every workload,
+# and the two pipeline workloads at the golden seed and sizes: a perf
+# change that alters any output digest fails here, before a benchmark run
+python -m pytest benchmarks/e2e/tests -q
+timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 0
+for workload in cold sharded; do
+    timeout 300 python3 benchmarks/e2e/run.py --workload "$workload" \
+        --seconds 1 --trace 0
+done
+
 exec python -m repro.checks src/repro tests/test_checks.py \
     --cache .repro-cache/checks.json \
     --all

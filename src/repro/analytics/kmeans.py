@@ -201,11 +201,21 @@ def sse_curve(
     n_init: int = 5,
 ) -> dict[int, float]:
     """SSE for each K in the inclusive *k_range* (the elbow plot data)."""
+    return {
+        k: fit.sse
+        for k, fit in _sweep(matrix, k_range, seed=seed, n_init=n_init).items()
+    }
+
+
+def _sweep(
+    matrix: np.ndarray, k_range: tuple[int, int], seed: int, n_init: int
+) -> dict[int, KMeansResult]:
+    """One fitted clustering per K in the inclusive *k_range*."""
     lo, hi = k_range
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid k_range {k_range}")
     return {
-        k: kmeans(matrix, k, n_init=n_init, seed=seed).sse for k in range(lo, hi + 1)
+        k: kmeans(matrix, k, n_init=n_init, seed=seed) for k in range(lo, hi + 1)
     }
 
 
@@ -246,8 +256,12 @@ def kmeans_auto(
     seed: int = 0,
     n_init: int = 5,
 ) -> AutoKMeansResult:
-    """Sweep K over *k_range*, choose the elbow, return that clustering."""
-    curve = sse_curve(matrix, k_range, seed=seed, n_init=n_init)
+    """Sweep K over *k_range*, choose the elbow, return that clustering.
+
+    The sweep's own fit for the chosen K is the returned clustering: the
+    fit is seeded, so fitting that K again would reproduce it exactly.
+    """
+    fits = _sweep(matrix, k_range, seed=seed, n_init=n_init)
+    curve = {k: fit.sse for k, fit in fits.items()}
     k = choose_k_elbow(curve)
-    result = kmeans(matrix, k, n_init=n_init, seed=seed)
-    return AutoKMeansResult(result=result, curve=curve, chosen_k=k)
+    return AutoKMeansResult(result=fits[k], curve=curve, chosen_k=k)

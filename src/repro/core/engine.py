@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -95,6 +96,14 @@ _ANALYZE_FIELDS = (
 )
 
 
+def _render_panel(add: Callable[[DashboardBuilder], object]) -> Panel:
+    """The one panel *add* puts on a fresh :class:`DashboardBuilder`."""
+    builder = DashboardBuilder("")
+    add(builder)
+    (panel,) = builder.dashboard.panels
+    return panel
+
+
 @dataclass
 class PreprocessingOutcome:
     """What tier 1 produced."""
@@ -136,7 +145,8 @@ class AnalyticsOutcome:
     # Every tab of the navigable dashboard renders the same analytics table;
     # the aggregates below depend only on (outcome, response), never on the
     # tab's granularity, so they are computed once and memoized here instead
-    # of once per tab.
+    # of once per tab.  The same holds for every panel that does not depend
+    # on the stakeholder: the three dashboards share one rendering of it.
 
     def region_means(
         self, region_column: str, response: str, executor=None
@@ -169,6 +179,20 @@ class AnalyticsOutcome:
         key = ("summary", attributes)
         if key not in self._memo:
             self._memo[key] = summarize_table(self.table, list(attributes))
+        return self._memo[key]
+
+    def panel(self, key: tuple, render: Callable[[], Panel]) -> Panel:
+        """A stakeholder-independent dashboard panel (memoized).
+
+        *key* must hold every input of the panel the outcome does not fix
+        (the engine passes panel kind, zoom, response and a hierarchy
+        fingerprint), because engines with different collections can share
+        one cached outcome.  A :class:`Panel` keeps only title, caption and
+        body, so a memoized map never pins its GeoJSON.
+        """
+        key = ("panel",) + key
+        if key not in self._memo:
+            self._memo[key] = render()
         return self._memo[key]
 
 
@@ -608,6 +632,14 @@ class Indice:
 
         lat, lon = table["latitude"], table["longitude"]
         response = table[cfg.response]
+        # the panels below do not depend on the stakeholder: each renders
+        # once per outcome and argument set, and every dashboard reuses it
+        shared_inputs = (cfg.response, fingerprint_value(hierarchy))
+
+        def add_shared(key: tuple, add) -> None:
+            builder.dashboard.add(
+                analytics.panel(key + shared_inputs, lambda: _render_panel(add))
+            )
 
         if granularity in (Granularity.CITY, Granularity.DISTRICT, Granularity.NEIGHBOURHOOD):
             level = granularity if granularity != Granularity.CITY else Granularity.DISTRICT
@@ -619,20 +651,20 @@ class Indice:
             )
             if granularity is Granularity.NEIGHBOURHOOD:
                 # Figure 2 (upper): area averages with per-certificate markers
-                builder.add_map(
+                add_shared(("choropleth_with_scatter_map", level), lambda b: b.add_map(
                     choropleth_with_scatter_map(
                         hierarchy, level, means, lat, lon, response, cfg.response,
                     ),
                     caption="Area averages (choropleth) with the scatter marker "
                             "of each single certificate on one shared scale.",
-                )
+                ))
             else:
-                builder.add_map(
+                add_shared(("choropleth_map", level), lambda b: b.add_map(
                     choropleth_map(hierarchy, level, means, cfg.response),
                     caption="Each area is colored by its average value "
                             "(choropleth energy map).",
-                )
-        builder.add_map(
+                ))
+        add_shared(("cluster_marker_map", granularity), lambda b: b.add_map(
             cluster_marker_map(
                 lat, lon, response, cfg.response, granularity,
                 hierarchy=hierarchy,
@@ -641,36 +673,37 @@ class Indice:
             caption="Marker size and inner label give the number of aggregated "
                     "certificates; fill encodes the mean response; stroke the "
                     "analytic cluster.",
-        )
+        ))
         if granularity in (Granularity.NEIGHBOURHOOD, Granularity.UNIT):
-            builder.add_map(
+            add_shared(("scatter_map",), lambda b: b.add_map(
                 scatter_map(
                     lat, lon, response, cfg.response,
                     hierarchy=hierarchy, max_points=4000,
                 ),
                 caption="One point per certificate (housing-unit zoom).",
-            )
+            ))
 
-        builder.add_grouped_histogram(
+        add_shared(("histogram",), lambda b: b.add_grouped_histogram(
             analytics.response_histograms(cfg.response),
             cfg.response,
             caption="Response distribution inside each K-means cluster.",
-        )
-        builder.add_correlation_matrix(
+        ))
+        add_shared(("correlation",), lambda b: b.add_correlation_matrix(
             analytics.correlation,
             caption="Gray level encodes |Pearson rho|; a light matrix means the "
                     "feature set is eligible for clustering.",
-        )
-        builder.add_rules_table(
+        ))
+        add_shared(("rules",), lambda b: b.add_rules_table(
             RuleMiner.top_k(analytics.rules, 15, by="lift"),
             caption="Top correlations as association rules "
                     "(support / confidence / lift / conviction).",
-        )
-        builder.add_summary_table(
-            analytics.summary(tuple(cfg.features) + (cfg.response,)),
+        ))
+        attributes = tuple(cfg.features) + (cfg.response,)
+        add_shared(("summary", attributes), lambda b: b.add_summary_table(
+            analytics.summary(attributes),
             caption="Count, mean, standard deviation and quartiles of the "
                     "selected attributes.",
-        )
+        ))
         if stakeholder is Stakeholder.ENERGY_SCIENTIST:
             # the expert's whiskers plot of the response with its outliers
             box = boxplot_outliers(response)

@@ -101,6 +101,12 @@ def _group_pairs_chunk(by: str, name: str, chunk: Table) -> list:
     return list(zip(keys, chunk.column(name).values))
 
 
+def _project(table: Table, names: Iterable[str]) -> Table:
+    """*table* cut down to *names* (first occurrence of each kept), the
+    only columns a chunk function reads — all ``map_table`` should ship."""
+    return table.select(list(dict.fromkeys(names)))
+
+
 def feature_matrix(
     table: Table,
     names: Sequence[str],
@@ -117,7 +123,8 @@ def feature_matrix(
     if executor is None or not executor.should_parallelize(table.n_rows):
         return table.to_matrix(list(names))
     rows = executor.map_table(
-        functools.partial(_matrix_rows_chunk, tuple(names)), table
+        functools.partial(_matrix_rows_chunk, tuple(names)),
+        _project(table, names),
     )
     return np.vstack(rows)
 
@@ -143,7 +150,8 @@ def grouped_mean(
         # same contract as Table.aggregate
         raise TableError(f"aggregate expects a numeric column, got {name!r}")
     pairs = executor.map_table(
-        functools.partial(_group_pairs_chunk, by, name), table
+        functools.partial(_group_pairs_chunk, by, name),
+        _project(table, (by, name)),
     )
     groups: dict[Any, list] = {}
     for key, value in pairs:
@@ -332,6 +340,10 @@ class ParallelMap:
         a contiguous row slice and must return one result per row, in row
         order; ``map_table`` returns the concatenation across slices — for
         a row-wise *chunk_func* this is exactly ``list(chunk_func(table))``.
+
+        Callers ship only the columns *chunk_func* reads: every column of
+        *table* is encoded into shared memory, so pass a ``select`` of the
+        read columns, not a full-width collection table.
 
         Unlike :meth:`map`, the rows are never pickled: the whole table is
         encoded once into a shared-memory block and workers receive only

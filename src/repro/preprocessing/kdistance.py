@@ -110,15 +110,31 @@ def estimate_dbscan_params(
 
     DBSCAN's minPoints counts the point itself, so the returned
     ``min_points`` is the stable ``k`` **plus one**.
+
+    One tree and one ``query(k=hi + 1)`` yield every swept curve: column
+    ``k`` of the neighbour distances is exactly what
+    :func:`k_distance_curve` computes for ``k``.  With ``hi`` or fewer
+    complete rows some curves are empty, so each k falls back to
+    :func:`k_distance_curve`.
     """
     lo, hi = min_points_range
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid min_points_range {min_points_range}")
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"expected an (n, d) matrix, got shape {points.shape}")
+    coords = points[~np.isnan(points).any(axis=1)]
+    distances = None
+    if len(coords) > hi:
+        distances, _ = cKDTree(coords).query(coords, k=hi + 1)
     curves: dict[int, np.ndarray] = {}
     stable_k: int | None = None
     previous: np.ndarray | None = None
     for k in range(lo, hi + 1):
-        curve = k_distance_curve(points, k)
+        if distances is not None:
+            curve = np.sort(distances[:, k])
+        else:
+            curve = k_distance_curve(coords, k)
         curves[k] = curve
         if previous is not None and stable_k is None:
             if _curve_gap(previous, curve) < stability_tolerance:

@@ -1,5 +1,8 @@
 """Tests for K-means, standardization and the SSE elbow rule."""
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,3 +152,30 @@ class TestElbow:
         assert auto.chosen_k == 4
         assert auto.result.k == 4
         assert len(auto.curve) == 7
+
+    @pytest.mark.parametrize("k_range", [(2, 8), (3, 3), (1, 4)])
+    def test_auto_keeps_the_sweep_fit(self, monkeypatch, k_range):
+        # the package re-exports the function under the submodule's name
+        kmeans_mod = importlib.import_module("repro.analytics.kmeans")
+        points = blobs([(0, 0), (6, 1), (2, 7)], n_per=40, spread=0.8, seed=3)
+        points[::17, 1] = np.nan  # unassigned rows ride along
+        calls = []
+        real_kmeans = kmeans_mod.kmeans
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real_kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(kmeans_mod, "kmeans", counting)
+        auto = kmeans_auto(points, k_range, seed=9, n_init=3)
+        lo, hi = k_range
+        assert sorted(calls) == list(range(lo, hi + 1))  # no refit
+
+        refit = real_kmeans(points, auto.chosen_k, n_init=3, seed=9)
+        for f in dataclasses.fields(refit):
+            got, want = getattr(auto.result, f.name), getattr(refit, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want

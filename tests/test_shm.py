@@ -25,6 +25,8 @@ import pytest
 from repro.dataset.table import Column, Table
 from repro.faults import FaultInjector, FaultPlan
 from repro.perf import ParallelMap, SharedTable, TableSlice, attach_slice
+from repro.perf.parallel import feature_matrix, grouped_mean
+from repro.perf.shm import encode_table
 
 _SHM_DIR = "/dev/shm"
 
@@ -304,3 +306,66 @@ class TestMapTable:
             assert clone == descriptor
             back = attach_slice(clone)
         assert back.n_rows == 2
+
+
+def _wide_table(n: int = 600) -> Table:
+    """A table wider than any chunk function reads, with NaN and None."""
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=n)
+    a[rng.random(n) < 0.1] = np.nan
+    group = rng.integers(0, 4, n).astype(float)
+    group[rng.random(n) < 0.05] = np.nan
+    return Table(
+        [
+            Column.numeric("a", a),
+            Column.numeric("b", rng.normal(size=n)),
+            Column.numeric("g", group),
+            Column.categorical(
+                "district", [None if i % 13 == 0 else f"D{i % 5}" for i in range(n)]
+            ),
+            Column.text("note", [f"unread note {i}" for i in range(n)]),
+            Column.numeric("unused", rng.normal(size=n)),
+        ]
+    )
+
+
+def _same_aggregate(got: dict, want: dict) -> bool:
+    return list(got) == list(want) and all(
+        (np.isnan(got[k]) and np.isnan(want[k])) or got[k] == want[k]
+        for k in want
+    )
+
+
+class TestColumnProjection:
+    """``feature_matrix`` and ``grouped_mean`` ship only the columns their
+    chunk functions read, and still equal the serial results."""
+
+    @staticmethod
+    def _encoded_size(table: Table, names: list[str]) -> int:
+        return encode_table(table.select(names))[2]
+
+    @pytest.mark.parametrize(
+        "names", [["a", "b"], ["b", "a", "b"], ["a", "a", "a"], ["g"]]
+    )
+    def test_feature_matrix_ships_projected_columns(self, names):
+        table = _wide_table()
+        executor = ParallelMap(n_jobs=2, min_parallel_items=8)
+        got = feature_matrix(table, names, executor)
+        assert executor.fallbacks == 0
+        np.testing.assert_array_equal(got, table.to_matrix(names))
+        assert executor.shm_bytes == self._encoded_size(
+            table, list(dict.fromkeys(names))
+        )
+
+    @pytest.mark.parametrize(
+        "by, name", [("district", "a"), ("g", "b"), ("a", "a"), ("g", "g")]
+    )
+    def test_grouped_mean_ships_projected_columns(self, by, name):
+        table = _wide_table()
+        executor = ParallelMap(n_jobs=2, min_parallel_items=8)
+        got = grouped_mean(table, by, name, executor)
+        assert executor.fallbacks == 0
+        assert _same_aggregate(got, table.aggregate(by, name, np.mean))
+        assert executor.shm_bytes == self._encoded_size(
+            table, list(dict.fromkeys([by, name]))
+        )
