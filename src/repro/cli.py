@@ -253,23 +253,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
             injector=_make_injector(args),
         )
         engine.run_sharded(plan)
-        dashboard = engine.build_dashboard(
-            Stakeholder(args.stakeholder), granularity
-        )
-        path = dashboard.save(args.output)
-        print(engine.log.describe())
-        print(f"\ndashboard written to {path}")
-        return 0
-    collection = _make_collection(args.certificates, args.seed, dirty=True)
-    if args.auto_config:
-        config = suggest_config(collection.table).config
     else:
-        config = IndiceConfig()
-    engine = Indice(
-        collection, _apply_perf_arguments(config, args),
-        injector=_make_injector(args),
-    )
-    dashboard = engine.run(Stakeholder(args.stakeholder), granularity)
+        collection = _make_collection(args.certificates, args.seed, dirty=True)
+        if args.auto_config:
+            config = suggest_config(collection.table).config
+        else:
+            config = IndiceConfig()
+        engine = Indice(
+            collection, _apply_perf_arguments(config, args),
+            injector=_make_injector(args),
+        )
+        engine.preprocess()
+        engine.analyze()
+    dashboard = engine.build_dashboard(Stakeholder(args.stakeholder), granularity)
     path = dashboard.save(args.output)
     print(engine.log.describe())
     degradations = engine.log.degradations()

@@ -282,11 +282,8 @@ class Indice:
     def preprocess(self, table: Table | None = None) -> PreprocessingOutcome:
         """Clean geospatial attributes, then drop outlier rows.
 
-        Rows flagged by the configured univariate detector on any analysis
-        attribute are removed ("values labelled as outliers are not
-        considered in the subsequent steps", Section 2.1.2); the optional
-        DBSCAN pass then removes multivariate noise over the standardized
-        analysis features.
+        Cleaning is :meth:`_clean_city_rows`; the outlier filter is the
+        global :meth:`_outlier_pass`, which the sharded merge runs too.
         """
         cfg = self.config
         table = table if table is not None else self.collection.table
@@ -329,59 +326,16 @@ class Indice:
             duplicates=quality.n_duplicate_certificates,
         )
 
-        cleaned, report, city_rows = self._clean_city_rows(table)
-
-        analysis_attributes = tuple(cfg.features) + (cfg.response,)
-        keep = np.ones(cleaned.n_rows, dtype=bool)
-        univariate: dict[str, OutlierResult] = {}
-        for name in analysis_attributes:
-            method, params = cfg.outlier_overrides.get(
-                name, (cfg.outlier_method, cfg.outlier_params)
-            )
-            result = detect_outliers(cleaned[name], method, **params)
-            univariate[name] = result
-            keep &= ~result.mask
-            self.log.record(
-                "preprocessing", "univariate_outliers",
-                attribute=name, method=method.value,
-                flagged=result.n_outliers,
-            )
-        filtered = cleaned.where(keep)
-
-        #: Degradations that change what the stage outputs (as opposed to
-        #: recoveries like a cache miss or serial fallback).  A degraded
-        #: outcome is never cached: the cache key promises the fault-free
-        #: result, and serving a degraded one from cache would be silent.
-        output_degraded = any(
-            d["kind"].startswith("geocoder_") for d in report.degradations
+        cleaned, report, __ = self._clean_city_rows(table)
+        univariate, noise_mask, keep, pass_degraded = self._outlier_pass(
+            lambda name: cleaned[name],
+            lambda kept: feature_matrix(
+                cleaned.where(kept), cfg.features, self.executor
+            ),
+            cleaned.n_rows,
+            deadline,
         )
-
-        noise_mask = None
-        if cfg.run_multivariate_outliers and deadline.expired():
-            output_degraded = True
-            # the optional DBSCAN pass is the first thing shed under time
-            # pressure; the mandatory cleaning/filtering above always runs
-            self.log.record(
-                "preprocessing", "degradation",
-                kind="deadline_exceeded",
-                detail="stage budget spent; multivariate outlier pass "
-                "skipped (univariate filtering already applied)",
-                budget_s=cfg.resilience.stage_timeout_s,
-            )
-        elif cfg.run_multivariate_outliers:
-            matrix, __ = standardize(
-                feature_matrix(filtered, cfg.features, self.executor)
-            )
-            estimate = estimate_dbscan_params(matrix)
-            result = dbscan(matrix, estimate.eps, estimate.min_points)
-            complete = ~np.isnan(matrix).any(axis=1)
-            noise_mask = result.noise_mask & complete  # missing rows are kept
-            filtered = filtered.where(~noise_mask)
-            self.log.record(
-                "preprocessing", "multivariate_outliers",
-                eps=round(estimate.eps, 4), min_points=estimate.min_points,
-                flagged=int(noise_mask.sum()),
-            )
+        filtered = cleaned.where(keep)
 
         outcome = PreprocessingOutcome(
             table=filtered,
@@ -399,7 +353,9 @@ class Indice:
             rows_per_s=n_in / elapsed if elapsed > 0 else None,
             rows_in=n_in, rows_out=filtered.n_rows,
         )
-        if cache_key is not None and not output_degraded:
+        # the cache key promises the fault-free result: never cache a
+        # degraded one, serving it from cache would be silent
+        if cache_key is not None and not (report.output_degraded or pass_degraded):
             self._cache_put("preprocessing", cache_key, outcome)
         self._preprocessed = outcome
         return outcome
@@ -412,11 +368,12 @@ class Indice:
         The referenced street map covers the city under analysis (the
         paper downloads it per city), so cleaning is scoped to that
         city's rows: matching out-of-city addresses against it would
-        mis-geocode them.  Shared by the monolithic :meth:`preprocess`
-        and the per-shard transform of :meth:`run_sharded` — which is
-        what makes the two paths row-for-row identical.  Returns the
-        full-width cleaned table, the cleaning report and the cleaned
-        row indices.
+        mis-geocode them.  This is the per-row half of preprocessing:
+        :meth:`preprocess` runs it once over the whole table, the
+        sharded tier (:meth:`run_sharded`) once per shard, and both then
+        hand the cleaned rows to the one global :meth:`_outlier_pass`.
+        Returns the full-width cleaned table, the cleaning report and the
+        cleaned row indices.
         """
         cfg = self.config
         city_mask = Comparison("city", "==", cfg.city).mask(table)
@@ -452,7 +409,68 @@ class Indice:
         cleaned = self._scatter_cleaned(table, report.table, city_rows)
         return cleaned, report, city_rows
 
-    def run_sharded(self, plan) -> "object":
+    def _outlier_pass(
+        self,
+        column: Callable[[str], np.ndarray],
+        kept_features: Callable[[np.ndarray], np.ndarray],
+        n_rows: int,
+        deadline: Deadline,
+    ) -> tuple[dict[str, OutlierResult], np.ndarray | None, np.ndarray, bool]:
+        """The global outlier filter over *n_rows* cleaned rows.
+
+        Rows flagged by the univariate detector on any analysis attribute
+        are dropped (Section 2.1.2), then optional DBSCAN drops the noise
+        among the survivors (rows with a missing feature are kept).  The
+        caller supplies where rows live: *column* gives one full numeric
+        column in original row order, *kept_features* the feature matrix
+        of the rows a keep mask selects — from the cleaned table in
+        :meth:`preprocess`, from the spills in the sharded merge.  Returns
+        ``(univariate results, noise mask over the survivors or None,
+        final keep mask, degraded)``; *degraded* means the *deadline* shed
+        DBSCAN, and such an output must never be cached.
+        """
+        cfg = self.config
+        keep = np.ones(n_rows, dtype=bool)
+        univariate: dict[str, OutlierResult] = {}
+        for name in tuple(cfg.features) + (cfg.response,):
+            method, params = cfg.outlier_overrides.get(
+                name, (cfg.outlier_method, cfg.outlier_params)
+            )
+            result = detect_outliers(column(name), method, **params)
+            univariate[name] = result
+            keep &= ~result.mask
+            self.log.record(
+                "preprocessing", "univariate_outliers",
+                attribute=name, method=method.value,
+                flagged=result.n_outliers,
+            )
+        if not cfg.run_multivariate_outliers:
+            return univariate, None, keep, False
+        if deadline.expired():
+            # the optional DBSCAN pass is the first thing shed under time
+            # pressure; the mandatory cleaning/filtering above always runs
+            self.log.record(
+                "preprocessing", "degradation",
+                kind="deadline_exceeded",
+                detail="stage budget spent; multivariate outlier pass "
+                "skipped (univariate filtering already applied)",
+                budget_s=cfg.resilience.stage_timeout_s,
+            )
+            return univariate, None, keep, True
+        matrix, __ = standardize(kept_features(keep))
+        estimate = estimate_dbscan_params(matrix)
+        result = dbscan(matrix, estimate.eps, estimate.min_points)
+        complete = ~np.isnan(matrix).any(axis=1)
+        noise_mask = result.noise_mask & complete  # missing rows are kept
+        keep[np.flatnonzero(keep)[noise_mask]] = False
+        self.log.record(
+            "preprocessing", "multivariate_outliers",
+            eps=round(estimate.eps, 4), min_points=estimate.min_points,
+            flagged=int(noise_mask.sum()),
+        )
+        return univariate, noise_mask, keep, False
+
+    def run_sharded(self, plan):
         """Run the pipeline sharded per *plan* (out-of-core merge).
 
         The sharded tier extracts, cleans and spills one shard at a time
@@ -463,7 +481,9 @@ class Indice:
         :mod:`repro.perf.shards`; returns its ``ShardedOutcome``.
         """
         # function-scope import: repro.perf.shards imports this module at
-        # top level, so the reverse edge must stay out of the module graph
+        # top level, so the reverse edge (even a types-only one, which
+        # IMP001 counts) must stay out of the module graph — hence no
+        # ShardPlan / ShardedOutcome annotations here
         from ..perf.shards import ShardRunner
 
         return ShardRunner(self, plan).run()

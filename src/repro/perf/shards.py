@@ -18,11 +18,13 @@ aggregation:
   and *spills* the cleaned shard to disk in the columnar codec of
   :mod:`repro.perf.spill` — so peak RSS stays bounded by the largest
   shard's working set, never the dataset;
-* the global stages (univariate fences, optional DBSCAN, selection,
-  K-means / discretization / rules) run on columns gathered back from
-  the spills **in original row order**, which is what makes the merged
-  output bit-identical (``Table.__eq__``) to the monolithic serial
-  pipeline over the same rows;
+* the merge runs the engine's one global outlier pass
+  (:meth:`~repro.core.engine.Indice._outlier_pass`, the code
+  ``Indice.preprocess`` runs) and supplies only each full analysis column
+  and the kept rows' features, gathered from the spills **in original
+  row order** — so the pass returns the monolithic keep mask, and the
+  merged table gathered from it (then selection, K-means, rules) is
+  bit-identical (``Table.__eq__``) to the monolithic serial pipeline;
 * every per-shard transform is memoized under the shard-granular key
   ``(config_fingerprint, shard_key, shard_content_hash)``
   (:meth:`StageCache.shard_key`), so editing one district re-runs one
@@ -45,7 +47,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.engine import Indice, PreprocessingOutcome, _PREPROCESS_FIELDS
+from ..core.engine import (
+    AnalyticsOutcome,
+    Indice,
+    PreprocessingOutcome,
+    _PREPROCESS_FIELDS,
+)
 from ..dataset.noise import NoiseConfig, apply_noise
 from ..dataset.synthetic import (
     EpcCollection,
@@ -60,10 +67,10 @@ from ..dataset.table import Column, ColumnKind, Table
 from ..faults.plan import InjectedIOError, TransientServiceError
 from ..faults.policy import retry_with_backoff
 from ..preprocessing.address_cleaner import CleaningReport
-from ..preprocessing.dbscan import dbscan
-from ..preprocessing.kdistance import estimate_dbscan_params
-from ..preprocessing.outliers import OutlierResult, detect_outliers
-from ..analytics.kmeans import standardize
+# bound only so the benchmark span targets (benchmarks/e2e/spans.py) resolve
+from ..preprocessing.dbscan import dbscan  # noqa: F401
+from ..preprocessing.kdistance import estimate_dbscan_params  # noqa: F401
+from ..preprocessing.outliers import detect_outliers  # noqa: F401
 from .cache import StageCache, fingerprint_table, fingerprint_value
 from .spill import SpillError, SpillFile, write_spill
 
@@ -115,7 +122,7 @@ class ShardedOutcome:
     """What :meth:`Indice.run_sharded` produced."""
 
     preprocessing: PreprocessingOutcome
-    analytics: "object"  # AnalyticsOutcome (typed loosely to avoid re-import)
+    analytics: AnalyticsOutcome
     shard_stats: list[ShardStat] = field(default_factory=list)
     spill_dir: str = ""
     #: The column projection the merge materialized (None = every column).
@@ -484,10 +491,7 @@ class ShardRunner:
             resolution_rate=report.resolution_rate(),
             geocoder_requests=report.geocoder_requests,
         )
-        output_degraded = any(
-            d["kind"].startswith("geocoder_") for d in report.degradations
-        )
-        if cache_key is not None and not output_degraded:
+        if cache_key is not None and not report.output_degraded:
             engine._cache_put("sharding", cache_key, record)
         elapsed = time.perf_counter() - started
         stat = ShardStat(
@@ -513,15 +517,14 @@ class ShardRunner:
         pool: _SpillPool,
         name: str,
         keep: np.ndarray,
-        kept_sorted: np.ndarray,
     ) -> Column:
-        """One column over the kept rows only, in original row order.
+        """One column over the rows *keep* selects, in original row order.
 
-        *kept_sorted* is ``np.flatnonzero(keep)`` — the kept original
-        indices in ascending order; each shard scatters its surviving
-        values into their rank positions, so the result is exactly the
+        Each shard scatters its surviving values into their rank positions
+        among the kept original indices, so the result is exactly the
         monolithic ``column[keep]``.
         """
+        kept_sorted = np.flatnonzero(keep)
         kind = None
         out: np.ndarray | None = None
         for spec in self.plan.shards:
@@ -634,61 +637,22 @@ class ShardRunner:
                 )
 
         paths = self._spill_paths(spill_dir, records)
-        analysis_attributes = tuple(cfg.features) + (cfg.response,)
-        keep = np.ones(total, dtype=bool)
-        univariate: dict[str, OutlierResult] = {}
         merge_started = time.perf_counter()
         with _SpillPool(paths, cfg.max_resident_shards, engine.injector) as pool:
-            # global univariate fences: the full column in original row
-            # order is exactly what the monolithic pass sees, so fences
-            # (and therefore the kept-row set) are bit-identical
-            for name in analysis_attributes:
-                method, params = cfg.outlier_overrides.get(
-                    name, (cfg.outlier_method, cfg.outlier_params)
-                )
-                values = self._gather_full_numeric(pool, name, total)
-                result = detect_outliers(values, method, **params)
-                univariate[name] = result
-                keep &= ~result.mask
-                log.record(
-                    "preprocessing", "univariate_outliers",
-                    attribute=name, method=method.value,
-                    flagged=result.n_outliers,
-                )
-            kept_sorted = np.flatnonzero(keep)
-
-            noise_mask = None
-            if cfg.run_multivariate_outliers and deadline.expired():
-                log.record(
-                    "preprocessing", "degradation",
-                    kind="deadline_exceeded",
-                    detail="stage budget spent; multivariate outlier pass "
-                    "skipped (univariate filtering already applied)",
-                    budget_s=cfg.resilience.stage_timeout_s,
-                )
-            elif cfg.run_multivariate_outliers:
-                matrix = np.column_stack(
+            # the global outlier pass reads full columns and the kept rows'
+            # features gathered back in original row order — exactly what
+            # the monolithic pass reads, so the keep mask is bit-identical
+            univariate, noise_mask, keep, pass_degraded = engine._outlier_pass(
+                lambda name: self._gather_full_numeric(pool, name, total),
+                lambda kept: np.column_stack(
                     [
-                        self._gather_selected(
-                            pool, name, keep, kept_sorted
-                        ).values
+                        self._gather_selected(pool, name, kept).values
                         for name in cfg.features
                     ]
-                ) if len(kept_sorted) else np.empty((0, len(cfg.features)))
-                matrix, __ = standardize(matrix)
-                estimate = estimate_dbscan_params(matrix)
-                result = dbscan(matrix, estimate.eps, estimate.min_points)
-                complete = ~np.isnan(matrix).any(axis=1)
-                noise_mask = result.noise_mask & complete
-                kept_sorted = kept_sorted[~noise_mask]
-                keep = np.zeros(total, dtype=bool)
-                keep[kept_sorted] = True
-                log.record(
-                    "preprocessing", "multivariate_outliers",
-                    eps=round(estimate.eps, 4),
-                    min_points=estimate.min_points,
-                    flagged=int(noise_mask.sum()),
-                )
+                ),
+                total,
+                deadline,
+            )
 
             # deterministic ordered merge: only the configured columns are
             # ever resident, and only their kept rows
@@ -700,7 +664,7 @@ class ShardRunner:
             )
             merged = Table(
                 [
-                    self._gather_selected(pool, name, keep, kept_sorted)
+                    self._gather_selected(pool, name, keep)
                     for name in names
                 ]
             )
@@ -727,9 +691,9 @@ class ShardRunner:
         engine._preprocessed = preprocessing
         # a degraded merge (deadline-skipped DBSCAN, degraded shards) is
         # not a pure function of the inputs — never memoize it
-        merge_degraded = (
-            cfg.run_multivariate_outliers and noise_mask is None
-        ) or any(stat.degradations for stat in stats)
+        merge_degraded = pass_degraded or any(
+            stat.degradations for stat in stats
+        )
         if merge_key is not None and not merge_degraded:
             engine._cache_put("sharding", merge_key, preprocessing)
         elapsed = time.perf_counter() - started

@@ -104,6 +104,13 @@ class CleaningReport:
     #: Rows that skipped the geocoder because the circuit was open.
     rows_skipped_by_open_circuit: int = 0
 
+    @property
+    def output_degraded(self) -> bool:
+        """Whether a degradation changed the cleaned rows (a geocoder
+        shortfall), as opposed to a recovery such as a serial fallback.
+        A degraded result is not the fault-free one and is never cached."""
+        return any(d["kind"].startswith("geocoder_") for d in self.degradations)
+
     def counts_by_status(self) -> dict[MatchStatus, int]:
         """Number of audited rows per match status."""
         out: dict[MatchStatus, int] = {}

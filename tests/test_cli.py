@@ -57,6 +57,24 @@ class TestCommands:
         assert text.startswith("<!DOCTYPE html>")
         assert "dashboard written to" in capsys.readouterr().out
 
+    def test_run_sharded_prints_the_full_tail(self, tmp_path, capsys, monkeypatch):
+        # --audit-effects arms the auditor through the environment
+        monkeypatch.delenv("REPRO_AUDIT_EFFECTS", raising=False)
+        out = tmp_path / "dash.html"
+        code = main(
+            [
+                "run", str(out), "--certificates", "600", "--seed", "3",
+                "--shards", "2", "--spill-dir", str(tmp_path / "spills"),
+                "--audit-effects",
+            ]
+        )
+        assert code == 0
+        assert out.read_text().startswith("<!DOCTYPE html>")
+        printed = capsys.readouterr().out
+        assert "sharding" in printed
+        assert "effect audit (observed ambient reads per stage):" in printed
+        assert "dashboard written to" in printed
+
     def test_run_with_auto_config(self, tmp_path):
         out = tmp_path / "dash.html"
         code = main(

@@ -27,7 +27,7 @@ from repro.dataset.synthetic import (
     merge_epc_collections,
     plan_generation_shards,
 )
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
 from repro.perf.cache import StageCache
 from repro.perf.shards import ShardPlan, ShardRunner
 from repro.perf.spill import SpillError, SpillFile, write_spill
@@ -64,7 +64,16 @@ def monolithic(collection):
     engine = Indice(collection, _config())
     preprocessing = engine.preprocess()
     analytics = engine.analyze()
-    return preprocessing, analytics
+    return preprocessing, analytics, engine.log
+
+
+def _outlier_details(log):
+    """The provenance details of the global outlier pass, in log order."""
+    return [
+        (step.action, step.detail)
+        for step in log.steps
+        if step.action in ("univariate_outliers", "multivariate_outliers")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +224,23 @@ class TestShardedEquivalence:
         config = _config(spill_dir=str(tmp_path / "spills"))
         engine = Indice(plan.collection, config)
         outcome = engine.run_sharded(plan)
-        pre, analytics = monolithic
+        pre, analytics, mono_log = monolithic
         assert outcome.preprocessing.table == pre.table
         assert outcome.analytics.table == analytics.table
         assert outcome.analytics.rules == analytics.rules
         assert (
             outcome.analytics.clustering.chosen_k == analytics.clustering.chosen_k
         )
+        # everything the shared global outlier pass produces
+        sharded = outcome.preprocessing
+        assert sharded.univariate_outliers.keys() == pre.univariate_outliers.keys()
+        for name, result in pre.univariate_outliers.items():
+            assert np.array_equal(sharded.univariate_outliers[name].mask, result.mask)
+        assert pre.multivariate_noise is not None
+        assert np.array_equal(sharded.multivariate_noise, pre.multivariate_noise)
+        assert sharded.n_rows_in == pre.n_rows_in
+        assert sharded.n_rows_out == pre.n_rows_out
+        assert _outlier_details(engine.log) == _outlier_details(mono_log)
 
     def test_generator_mode_matches_monolithic_over_merged_input(self, tmp_path):
         synth = SyntheticConfig(n_certificates=1200, seed=23)
@@ -256,7 +275,7 @@ class TestShardedEquivalence:
         plan = ShardPlan.from_collection(collection, 4, columns=columns)
         config = _config(spill_dir=str(tmp_path / "spills"))
         outcome = Indice(plan.collection, config).run_sharded(plan)
-        __, analytics = monolithic
+        __, analytics, __ = monolithic
         assert outcome.preprocessing.table.column_names == list(columns)
         assert outcome.analytics.clustering.chosen_k == analytics.clustering.chosen_k
         assert outcome.analytics.rules == analytics.rules
@@ -318,6 +337,51 @@ class TestShardedChaos:
         assert cache.shard_misses == len(plan.shards) + 1
         assert cache.shard_hits == len(plan.shards) - 1
         assert warm.preprocessing.table == baseline.preprocessing.table
+
+
+class TestShardedDeadline:
+    """A spent stage budget sheds DBSCAN identically on both paths, and the
+    degraded outcome is never cached."""
+
+    @staticmethod
+    def _deadline_steps(log):
+        return [
+            step for step in log.degradations()
+            if step.stage == "preprocessing"
+            and step.detail["kind"] == "deadline_exceeded"
+        ]
+
+    def test_expired_deadline_skips_dbscan_and_is_never_cached(
+        self, collection, tmp_path
+    ):
+        cfg = _config(
+            spill_dir=str(tmp_path), stage_cache=True,
+            resilience=ResiliencePolicy(stage_timeout_s=0.0),
+        )
+        cache = StageCache()
+        mono_engine = Indice(collection, cfg, cache=cache)
+        mono = mono_engine.preprocess()
+        plan = ShardPlan.from_collection(collection, "by-district")
+        sharded_engine = Indice(plan.collection, cfg, cache=cache)
+        sharded = sharded_engine.run_sharded(plan).preprocessing
+
+        for engine, outcome in ((mono_engine, mono), (sharded_engine, sharded)):
+            assert outcome.multivariate_noise is None
+            assert len(self._deadline_steps(engine.log)) == 1
+        assert sharded.table == mono.table
+
+        # a warm re-run on the same cache recomputes both degraded outcomes
+        rerun = Indice(collection, cfg, cache=cache)
+        rerun.preprocess()
+        assert not any(
+            step.action == "stage_cache" and step.detail.get("hit")
+            for step in rerun.log.steps if step.stage == "preprocessing"
+        )
+        rerun_sharded = Indice(plan.collection, cfg, cache=cache)
+        rerun_sharded.run_sharded(plan)
+        assert not any(
+            step.action == "merge_cache" for step in rerun_sharded.log.steps
+        )
 
 
 # ---------------------------------------------------------------------------
