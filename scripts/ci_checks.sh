@@ -17,6 +17,10 @@ export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
 
 mkdir -p .repro-cache
 
+# the usage examples in the text and geo-distance docstrings are tests
+# too: a kernel change that breaks a documented result fails here
+python -m pytest --doctest-modules src/repro/text src/repro/geo/distance.py -q
+
 # the shared-memory tier's own suite: codec round trip, segment
 # lifecycle (no leaks under crashes/faults), map_table semantics
 python -m pytest tests/test_shm.py -q

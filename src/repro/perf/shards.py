@@ -545,6 +545,41 @@ class ShardRunner:
         assert out is not None and kind is not None
         return Column(name, kind, out)
 
+    def _gather_table(self, paths: dict[str, Path], keep: np.ndarray) -> Table:
+        """The merged table: every projected column's kept rows, in order.
+
+        Builds the table shard by shard: each spill is opened once, and
+        scatters the kept rows of every projected column into their rank
+        positions among the kept original indices (the scatter of
+        :meth:`_gather_selected`).  Only one spill is open at a time.
+        """
+        kept_sorted = np.flatnonzero(keep)
+        columns: list[Column] = []
+        for spec in self.plan.shards:
+            with SpillFile.open(paths[spec.key], self.engine.injector) as spill:
+                if not columns:
+                    kinds = {col.name: col.kind for col in spill.specs}
+                    names = (
+                        spill.column_names
+                        if self.plan.columns is None
+                        else self.plan.columns
+                    )
+                    columns = [
+                        Column(name, kinds[name], np.empty(
+                            len(kept_sorted),
+                            np.float64 if kinds[name] is ColumnKind.NUMERIC else object,
+                        ))
+                        for name in names
+                    ]
+                orig = spec.original_rows()
+                inside = keep[orig]
+                if not inside.any():
+                    continue
+                positions = np.searchsorted(kept_sorted, orig[inside])
+                for column in columns:
+                    column.values[positions] = spill.column(column.name).values[inside]
+        return Table(columns)
+
     # -- the full sharded pipeline ----------------------------------------
 
     def run(self) -> ShardedOutcome:
@@ -653,25 +688,11 @@ class ShardRunner:
                 total,
                 deadline,
             )
-
-            # deterministic ordered merge: only the configured columns are
-            # ever resident, and only their kept rows
-            first = pool.handle(plan.shards[0].key)
-            names = (
-                list(plan.columns)
-                if plan.columns is not None
-                else first.column_names
-            )
-            merged = Table(
-                [
-                    self._gather_selected(pool, name, keep)
-                    for name in names
-                ]
-            )
+        merged = self._gather_table(paths, keep)
         merge_elapsed = time.perf_counter() - merge_started
         log.record(
             "sharding", "merge",
-            rows_in=total, rows_out=merged.n_rows, columns=len(names),
+            rows_in=total, rows_out=merged.n_rows, columns=merged.n_columns,
             elapsed_s=merge_elapsed,
         )
 

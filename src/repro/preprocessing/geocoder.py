@@ -23,7 +23,7 @@ import numpy as np
 
 from ..dataset.streetmap import AddressRecord, StreetMap
 from ..faults.plan import GEOCODER_REQUEST, FaultInjector, FaultKind, TransientServiceError
-from ..text.levenshtein import similarity
+from ..text.levenshtein import Pattern
 from ..text.normalize import canonical_house_number, normalize_address, split_house_number
 
 __all__ = ["GeocodeStatus", "GeocodeResponse", "QuotaExceededError", "SimulatedGeocoder"]
@@ -54,20 +54,22 @@ def _trigrams(text: str) -> set[str]:
     return {padded[i : i + 3] for i in range(len(padded) - 2)}
 
 
-def _soft_token_score(query_tokens: list[str], candidate_tokens: list[str]) -> float:
+def _soft_token_score(query_tokens: list[Pattern], candidate_tokens: list[str]) -> float:
     """Order-free token similarity: each query token matches its most
     similar candidate token; scores are averaged weighted by token length.
 
     Robust to token reordering ("roma via" vs "via roma") and to per-token
-    typos, which is how production geocoders behave.
+    typos, which is how production geocoders behave.  The query tokens come
+    compiled, so a query re-ranked against a whole shortlist builds each
+    token's masks once.
     """
     if not query_tokens or not candidate_tokens:
         return 0.0
     total_weight = 0.0
     total = 0.0
     for token in query_tokens:
-        best = max(similarity(token, cand) for cand in candidate_tokens)
-        weight = len(token)
+        best = max(token.similarity(cand) for cand in candidate_tokens)
+        weight = len(token.text)
         total += best * weight
         total_weight += weight
     return total / total_weight
@@ -187,10 +189,12 @@ class SimulatedGeocoder:
             return GeocodeResponse(GeocodeStatus.NOT_FOUND)
 
         # stage 2: blended re-rank (whole-string + order-free token score)
+        query = Pattern(street_part)
+        token_patterns = [Pattern(token) for token in query_tokens]
         best_i, best_sim = -1, -1.0
         for i in shortlist:
-            char_sim = similarity(street_part, self._streets[i])
-            token_sim = _soft_token_score(query_tokens, self._tokens[i])
+            char_sim = query.similarity(self._streets[i])
+            token_sim = _soft_token_score(token_patterns, self._tokens[i])
             blended = 0.4 * char_sim + 0.6 * token_sim
             if blended > best_sim:
                 best_i, best_sim = i, blended

@@ -14,10 +14,13 @@ We normalize by the longer string's length::
 which satisfies exactly that contract (1 iff the strings are equal, 0 iff
 they share no aligned characters at all).
 
-The implementation is a two-row dynamic program with an optional cut-off
-band: when the caller only cares whether the similarity clears a threshold
-``phi`` (the INDICE acceptance test), rows whose minimum already exceeds the
-implied distance budget abort early.
+The implementation is Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's
+form for edit distance: one string becomes per-character bit masks, and
+each character of the other advances a whole DP column with a handful of
+integer operations.  Python ints serve as the bit-vectors, so there is no
+limit on string length.  When the caller only cares whether the distance
+fits a budget (the INDICE acceptance test, via ``phi``), the scan stops as
+soon as the remaining characters can no longer bring it back under.
 """
 
 from __future__ import annotations
@@ -30,7 +33,106 @@ __all__ = [
     "distance_within",
     "best_match",
     "GazetteerIndex",
+    "Pattern",
 ]
+
+
+def _edit_distance(
+    masks: dict[str, int], m: int, text: str, budget: int | None = None
+) -> int | None:
+    """Levenshtein distance between a pattern and *text*, bit-parallel.
+
+    *masks* maps each character to the bit set of its positions in the
+    pattern (bit ``i`` for pattern character ``i``) and *m* >= 1 is the
+    pattern length.  Bit ``i`` of ``vp`` / ``vn`` says the DP cell in row
+    ``i + 1`` of the current column is one more / one less than the cell
+    above it; ``score`` tracks the last row, ``D[m][j]``.  Shifting a 1
+    into ``hp`` every column encodes the top boundary ``D[0][j] = j`` of
+    global (not substring) edit distance.
+
+    Returns ``None`` once the distance provably exceeds *budget*: each
+    remaining text character lowers the last row by at most 1, so a
+    ``score`` more than ``budget`` above the characters still to come can
+    never recover.
+    """
+    n = len(text)
+    if budget is None:
+        budget = max(m, n)  # no distance exceeds the longer length
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    vp, vn, score = full, 0, m
+    limit = n + budget
+    for j, ch in enumerate(text, 1):
+        eq = masks.get(ch, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & top:
+            score += 1
+        elif hn & top:
+            score -= 1
+        if score + j > limit:  # score - (n - j) > budget
+            return None
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(xv | hp)) & full
+        vn = hp & xv
+    return score if score <= budget else None
+
+
+def _budget(longest: int, phi: float) -> int:
+    """The largest edit distance at which similarity still reaches *phi*."""
+    return int((1.0 - phi) * longest + 1e-9)
+
+
+class Pattern:
+    """One string compiled to character masks, compared against many others.
+
+    Building the masks costs one pass over the string; every comparison
+    after that is one kernel scan of the other string, so a query matched
+    against a whole gazetteer pays for its masks once.
+    """
+
+    __slots__ = ("text", "_masks")
+
+    def __init__(self, text: str):
+        self.text = text
+        masks: dict[str, int] = {}
+        bit = 1
+        for ch in text:
+            masks[ch] = masks.get(ch, 0) | bit
+            bit <<= 1
+        self._masks = masks
+
+    def distance_within(self, other: str, budget: int | None = None) -> int | None:
+        """The edit distance to *other*, or ``None`` if above *budget*."""
+        m, n = len(self.text), len(other)
+        if budget is not None and (budget < 0 or abs(m - n) > budget):
+            return None
+        if self.text == other:
+            return 0
+        if not m or not n:
+            return m or n
+        return _edit_distance(self._masks, m, other, budget)
+
+    def similarity(self, other: str) -> float:
+        """Levenshtein similarity to *other* in [0, 1] (see :func:`similarity`)."""
+        longest = max(len(self.text), len(other))
+        if longest == 0:
+            return 1.0
+        return 1.0 - self.distance_within(other) / longest
+
+    def similarity_at_least(self, other: str, phi: float) -> float | None:
+        """The similarity to *other* if it is >= *phi*, else ``None``."""
+        longest = max(len(self.text), len(other))
+        if longest == 0:
+            return 1.0
+        d = self.distance_within(other, _budget(longest, phi))
+        if d is None:
+            return None
+        sim = 1.0 - d / longest
+        return sim if sim >= phi else None
 
 
 def distance(a: str, b: str) -> int:
@@ -41,66 +143,21 @@ def distance(a: str, b: str) -> int:
     >>> distance("via roma", "via rome")
     1
     """
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):  # keep the inner loop over the longer string
+    if len(a) < len(b):  # scan the shorter string against the longer's masks
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    current = [0] * (len(b) + 1)
-    for i, ca in enumerate(a, start=1):
-        current[0] = i
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current[j] = min(
-                previous[j] + 1,       # deletion
-                current[j - 1] + 1,    # insertion
-                previous[j - 1] + cost,  # substitution
-            )
-        previous, current = current, previous
-    return previous[len(b)]
+    return Pattern(a).distance_within(b)
 
 
 def distance_within(a: str, b: str, budget: int) -> int | None:
     """The edit distance if it does not exceed *budget*, else ``None``.
 
-    A length-difference pre-check and an early-abort row scan make this much
-    cheaper than :func:`distance` when most candidates are far away, which is
-    the common case when scanning a street gazetteer.
+    A length-difference pre-check and an early exit from the column scan
+    make this much cheaper than :func:`distance` when most candidates are
+    far away, which is the common case when scanning a street gazetteer.
     """
-    if budget < 0:
-        return None
-    if a == b:
-        return 0
-    if abs(len(a) - len(b)) > budget:
-        return None
-    if not a or not b:
-        d = max(len(a), len(b))
-        return d if d <= budget else None
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    current = [0] * (len(b) + 1)
-    for i, ca in enumerate(a, start=1):
-        current[0] = i
-        row_min = i
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + cost,
-            )
-            if current[j] < row_min:
-                row_min = current[j]
-        if row_min > budget:
-            return None
-        previous, current = current, previous
-    d = previous[len(b)]
-    return d if d <= budget else None
+    return Pattern(a).distance_within(b, budget)
 
 
 def similarity(a: str, b: str) -> float:
@@ -111,30 +168,12 @@ def similarity(a: str, b: str) -> float:
     >>> similarity("abc", "xyz")
     0.0
     """
-    if a == b:
-        return 1.0
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - distance(a, b) / longest
-
-
-def _distance_budget(a: str, b: str, phi: float) -> int:
-    """The largest edit distance for which similarity(a, b) >= phi."""
-    longest = max(len(a), len(b))
-    return int((1.0 - phi) * longest + 1e-9)
+    return Pattern(a).similarity(b)
 
 
 def similarity_at_least(a: str, b: str, phi: float) -> float | None:
     """The similarity if it is >= *phi*, else ``None`` (computed with cut-off)."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    d = distance_within(a, b, _distance_budget(a, b, phi))
-    if d is None:
-        return None
-    sim = 1.0 - d / longest
-    return sim if sim >= phi else None
+    return Pattern(a).similarity_at_least(b, phi)
 
 
 def best_match(query: str, candidates: list[str], phi: float = 0.0) -> tuple[int, float] | None:
@@ -144,11 +183,12 @@ def best_match(query: str, candidates: list[str], phi: float = 0.0) -> tuple[int
     no candidate clears the threshold.  Ties keep the first candidate, which
     makes gazetteer lookups deterministic.
     """
+    pattern = Pattern(query)
     best_index = -1
     best_sim = phi
     found = False
     for i, cand in enumerate(candidates):
-        sim = similarity_at_least(query, cand, best_sim)
+        sim = pattern.similarity_at_least(cand, best_sim)
         if sim is None:
             continue
         if not found or sim > best_sim:
@@ -164,9 +204,8 @@ class GazetteerIndex:
     """A pruning candidate index for repeated best-match queries.
 
     Scanning a full gazetteer per query (:func:`best_match`) costs one
-    banded DP per candidate.  Most of those candidates can be rejected
-    without running any DP, using two valid lower bounds on the edit
-    distance:
+    kernel scan per candidate.  Most of those candidates can be rejected
+    without any scan, using two valid lower bounds on the edit distance:
 
     * **length bound** — ``distance(a, b) >= abs(|a| - |b|)``, so whole
       length buckets fall outside the phi-implied edit budget
@@ -183,7 +222,7 @@ class GazetteerIndex:
     the edit budget for everything after it.  Results are **identical** to
     the linear :func:`best_match` over the same candidate list (same
     index, same similarity, same tie-breaks): both bounds only skip
-    candidates whose banded DP would return ``None`` anyway, and ties are
+    candidates whose budgeted scan would return ``None`` anyway, and ties are
     resolved toward the lowest candidate index regardless of scan order.
 
     A per-instance memo caches repeated ``(query, phi)`` lookups, since
@@ -225,8 +264,7 @@ class GazetteerIndex:
     @staticmethod
     def _length_feasible(la: int, lb: int, phi: float) -> bool:
         """Whether a candidate of length *lb* can clear *phi* at all."""
-        longest = max(la, lb)
-        return abs(la - lb) <= int((1.0 - phi) * longest + 1e-9)
+        return abs(la - lb) <= _budget(max(la, lb), phi)
 
     def _query_counts(self, query: str) -> tuple[np.ndarray, int]:
         """Alphabet counts of *query* plus its out-of-alphabet char count."""
@@ -263,14 +301,15 @@ class GazetteerIndex:
             key=lambda lb: (abs(lb - la), lb),
         )
         q_counts, q_unknown = self._query_counts(query)
+        pattern = Pattern(query)  # masks built once, shared by every candidate
         best_index = -1
         best_sim = phi
         found = False
 
         def consider(i: int) -> bool:
-            """DP-check candidate *i*; True once an exact match is held."""
+            """Scan candidate *i*; True once an exact match is held."""
             nonlocal best_index, best_sim, found
-            sim = similarity_at_least(query, self.candidates[i], best_sim)
+            sim = pattern.similarity_at_least(self.candidates[i], best_sim)
             if sim is not None and (
                 not found
                 or sim > best_sim
@@ -294,7 +333,7 @@ class GazetteerIndex:
         for lb in lengths:
             if not self._length_feasible(la, lb, best_sim):
                 continue
-            budget = int((1.0 - best_sim) * max(la, lb) + 1e-9)
+            budget = _budget(max(la, lb), best_sim)
             indices, counts, __ = self._buckets[lb]
             deltas = counts - q_counts
             surplus = np.where(deltas > 0, deltas, 0).sum(axis=1)

@@ -283,6 +283,31 @@ class TestShardedEquivalence:
             assert outcome.analytics.table.column(name) == analytics.table.column(name)
 
 
+class TestMergeSpillReads:
+    def test_merge_opens_each_spill_once_per_column_pass(
+        self, collection, monolithic, tmp_path, monkeypatch
+    ):
+        """The merge opens a spill once per shard for each univariate
+        attribute, once per feature, and once more to build the merged
+        table — not once per (column, shard) pair of the table build."""
+        opens = []
+        original = SpillFile.open.__func__
+
+        def counting_open(cls, path, injector=None):
+            opens.append(path)
+            return original(cls, path, injector)
+
+        monkeypatch.setattr(SpillFile, "open", classmethod(counting_open))
+        plan = ShardPlan.from_collection(collection, "by-district")
+        config = _config(spill_dir=str(tmp_path / "spills"))
+        outcome = Indice(plan.collection, config).run_sharded(plan)
+        assert outcome.preprocessing.table == monolithic[0].table
+        univariate = len(config.features) + 1  # the features plus the response
+        bound = (univariate + len(config.features) + 1) * len(plan.shards)
+        assert len(plan.shards) > config.max_resident_shards
+        assert 0 < len(opens) <= bound
+
+
 # ---------------------------------------------------------------------------
 # chaos: retries must never duplicate or drop rows
 # ---------------------------------------------------------------------------
