@@ -21,6 +21,11 @@ mkdir -p .repro-cache
 # too: a kernel change that breaks a documented result fails here
 python -m pytest --doctest-modules src/repro/text src/repro/geo/distance.py -q
 
+# the chaos sweep over the 8000-certificate pipeline (deselected from the
+# default run): the only suite that drives every pool — row chunks, shm
+# slices and coarse tasks — under injected worker crashes and stragglers
+timeout 300 python -m pytest -m chaos tests/test_chaos_pipeline.py -q
+
 # the shared-memory tier's own suite: codec round trip, segment
 # lifecycle (no leaks under crashes/faults), map_table semantics
 python -m pytest tests/test_shm.py -q

@@ -19,6 +19,13 @@ This module provides:
 * :func:`kmeans_auto` — the INDICE entry point: sweep K, pick the elbow,
   return that clustering.
 
+The sweep fits every K independently — each :func:`kmeans` call seeds its
+own generator — so given a :class:`~repro.perf.parallel.ParallelMap` the
+K values run as concurrent pool tasks (largest K first), and the curve,
+the chosen K and its clustering stay bit-identical to the serial sweep.
+A pool failure falls back to the serial sweep and counts in the
+executor's ``fallbacks``; the engine logs it.
+
 Rows containing NaN in any feature are excluded from fitting and receive
 label ``-1``; the caller decides how to treat them (INDICE drops them
 during preprocessing anyway).
@@ -26,9 +33,14 @@ during preprocessing anyway).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover — types only, no import-time edge
+    from ..perf.parallel import ParallelMap
 
 __all__ = [
     "KMeansResult",
@@ -208,15 +220,33 @@ def sse_curve(
 
 
 def _sweep(
-    matrix: np.ndarray, k_range: tuple[int, int], seed: int, n_init: int
+    matrix: np.ndarray,
+    k_range: tuple[int, int],
+    seed: int,
+    n_init: int,
+    executor: "ParallelMap | None" = None,
 ) -> dict[int, KMeansResult]:
-    """One fitted clustering per K in the inclusive *k_range*."""
+    """One fitted clustering per K in the inclusive *k_range*.
+
+    With an *executor* every K is one task of
+    :meth:`~repro.perf.parallel.ParallelMap.map_tasks`, largest K first
+    (the longest fits start first, so two workers finish together).  Each
+    fit seeds its own generator from *seed*, so where it runs cannot
+    change a bit of it.
+    """
     lo, hi = k_range
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid k_range {k_range}")
-    return {
-        k: kmeans(matrix, k, n_init=n_init, seed=seed) for k in range(lo, hi + 1)
-    }
+    if executor is None:
+        return {
+            k: kmeans(matrix, k, n_init=n_init, seed=seed)
+            for k in range(lo, hi + 1)
+        }
+    ks = range(hi, lo - 1, -1)
+    fits = executor.map_tasks(
+        functools.partial(kmeans, matrix, n_init=n_init, seed=seed), ks
+    )
+    return dict(sorted(zip(ks, fits)))
 
 
 def choose_k_elbow(curve: dict[int, float]) -> int:
@@ -255,13 +285,16 @@ def kmeans_auto(
     k_range: tuple[int, int] = (2, 10),
     seed: int = 0,
     n_init: int = 5,
+    executor: "ParallelMap | None" = None,
 ) -> AutoKMeansResult:
     """Sweep K over *k_range*, choose the elbow, return that clustering.
 
     The sweep's own fit for the chosen K is the returned clustering: the
     fit is seeded, so fitting that K again would reproduce it exactly.
+    *executor* (a :class:`~repro.perf.parallel.ParallelMap`) fits the K
+    values concurrently; the result is bit-identical to the serial sweep.
     """
-    fits = _sweep(matrix, k_range, seed=seed, n_init=n_init)
+    fits = _sweep(matrix, k_range, seed=seed, n_init=n_init, executor=executor)
     curve = {k: fit.sse for k, fit in fits.items()}
     k = choose_k_elbow(curve)
     return AutoKMeansResult(result=fits[k], curve=curve, chosen_k=k)

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Bump when the facts schema changes so cached summaries invalidate.
-FACTS_VERSION = 3
+FACTS_VERSION = 4
 
 #: Attribute methods whose first argument names a fault-injection site.
 _HOOK_METHODS = ("arrive", "fire")
@@ -418,7 +418,8 @@ def extract_facts(tree: ast.Module) -> dict:
 
 
 def _extract_executor_facts(tree: ast.Module, facts: dict) -> None:
-    """Executor submissions: ``<executor>.map`` / ``.map_table`` calls."""
+    """Executor submissions: ``<executor>.map`` / ``.map_table`` /
+    ``.map_tasks`` calls."""
     executor_names: set[str] = set(_EXECUTOR_NAMES)
     for node in ast.walk(tree):
         targets: list[ast.expr] = []
@@ -455,7 +456,7 @@ def _extract_executor_facts(tree: ast.Module, facts: dict) -> None:
             continue
         func = node.func
         if not isinstance(func, ast.Attribute) or func.attr not in (
-            "map", "map_table"
+            "map", "map_table", "map_tasks"
         ):
             continue
         receiver = func.value
@@ -498,8 +499,9 @@ def _extract_executor_facts(tree: ast.Module, facts: dict) -> None:
         for kw in node.keywords:
             if kw.arg == "initializer" and isinstance(kw.value, ast.Name):
                 entry["initializer"] = kw.value.id
+        # map_tasks applies its func to whole items, exactly like map
         facts[
-            "map_calls" if func.attr == "map" else "map_table_calls"
+            "map_table_calls" if func.attr == "map_table" else "map_calls"
         ].append(entry)
 
 

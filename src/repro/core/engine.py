@@ -21,6 +21,7 @@ do) or end-to-end via :meth:`Indice.run`.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -102,6 +103,70 @@ def _render_panel(add: Callable[[DashboardBuilder], object]) -> Panel:
     add(builder)
     (panel,) = builder.dashboard.panels
     return panel
+
+
+def _scatter_cleaned(table: Table, cleaned_city: Table, city_rows: np.ndarray) -> Table:
+    """Write the cleaned city rows back into the full table (the
+    geospatial attributes only; everything else is untouched)."""
+    out = table
+    for name in ("address", "house_number", "zip_code", "latitude", "longitude"):
+        column = table.column(name)
+        values = column.values.copy()
+        values[city_rows] = cleaned_city[name]
+        out = out.with_column(Column(name, column.kind, values))
+    return out.select(table.column_names)
+
+
+def _clean_city(
+    table: Table,
+    collection: EpcCollection,
+    config: IndiceConfig,
+    injector: FaultInjector | None,
+    executor: ParallelMap,
+) -> tuple[Table, CleaningReport, np.ndarray, list[tuple[str, str, dict]]]:
+    """Clean the configured city's rows of *table*, scatter them back.
+
+    The referenced street map covers the city under analysis (the paper
+    downloads it per city), so cleaning is scoped to that city's rows:
+    matching out-of-city addresses against it would mis-geocode them.
+    This is the per-row half of preprocessing, and it logs nothing: it
+    returns the full-width cleaned table, the cleaning report, the
+    cleaned row indices and the ``(stage, action, detail)`` provenance
+    steps the pass owes the log — so a shard-transform worker can run it
+    and the parent still writes every step, in shard order.
+    """
+    city_rows = np.flatnonzero(Comparison("city", "==", config.city).mask(table))
+    geocoder = SimulatedGeocoder(
+        collection.street_map, quota=config.geocoder_quota, injector=injector,
+    )
+    cleaner = AddressCleaner(
+        collection.street_map, config.cleaning, geocoder,
+        executor=executor,
+        retry=config.resilience.retry_policy(seed=config.seed),
+        breaker=config.resilience.breaker(),
+    )
+    clean_start = time.perf_counter()
+    report = cleaner.clean_table(table.take(city_rows))
+    clean_elapsed = time.perf_counter() - clean_start
+    steps = [
+        ("preprocessing", "geospatial_cleaning", dict(
+            elapsed_s=clean_elapsed,
+            rows_per_s=(
+                len(city_rows) / clean_elapsed if clean_elapsed > 0 else None
+            ),
+            city=config.city,
+            phi=config.cleaning.phi,
+            n_jobs=executor.resolve_jobs(),
+            rows_cleaned=len(city_rows),
+            resolution_rate=round(report.resolution_rate(), 4),
+            geocoder_requests=report.geocoder_requests,
+        )),
+    ] + [
+        ("preprocessing", "degradation", degradation)
+        for degradation in report.degradations
+    ]
+    cleaned = _scatter_cleaned(table, report.table, city_rows)
+    return cleaned, report, city_rows, steps
 
 
 @dataclass
@@ -282,8 +347,9 @@ class Indice:
     def preprocess(self, table: Table | None = None) -> PreprocessingOutcome:
         """Clean geospatial attributes, then drop outlier rows.
 
-        Cleaning is :meth:`_clean_city_rows`; the outlier filter is the
-        global :meth:`_outlier_pass`, which the sharded merge runs too.
+        Cleaning is :func:`_clean_city`, which the sharded tier runs once
+        per shard; the outlier filter is the global :meth:`_outlier_pass`,
+        which the sharded merge runs too.
         """
         cfg = self.config
         table = table if table is not None else self.collection.table
@@ -326,7 +392,11 @@ class Indice:
             duplicates=quality.n_duplicate_certificates,
         )
 
-        cleaned, report, __ = self._clean_city_rows(table)
+        cleaned, report, __, steps = _clean_city(
+            table, self.collection, cfg, self.injector, self.executor
+        )
+        for stage, action, detail in steps:
+            self.log.record(stage, action, **detail)
         univariate, noise_mask, keep, pass_degraded = self._outlier_pass(
             lambda name: cleaned[name],
             lambda kept: feature_matrix(
@@ -360,54 +430,24 @@ class Indice:
         self._preprocessed = outcome
         return outcome
 
-    def _clean_city_rows(
-        self, table: Table
-    ) -> tuple[Table, CleaningReport, np.ndarray]:
-        """Clean the configured city's rows of *table*, scatter them back.
+    @contextmanager
+    def _logged_fallbacks(self, stage: str, work: str):
+        """Log a ``parallel_fallback`` if the executor fell back inside.
 
-        The referenced street map covers the city under analysis (the
-        paper downloads it per city), so cleaning is scoped to that
-        city's rows: matching out-of-city addresses against it would
-        mis-geocode them.  This is the per-row half of preprocessing:
-        :meth:`preprocess` runs it once over the whole table, the
-        sharded tier (:meth:`run_sharded`) once per shard, and both then
-        hand the cleaned rows to the one global :meth:`_outlier_pass`.
-        Returns the full-width cleaned table, the cleaning report and the
-        cleaned row indices.
+        A pool failure is recovered by a bit-identical serial recompute,
+        but the contract is "bit-identical *or logged*": every fallback
+        lands in the stage where it happened.
         """
-        cfg = self.config
-        city_mask = Comparison("city", "==", cfg.city).mask(table)
-        city_rows = np.flatnonzero(city_mask)
-        geocoder = SimulatedGeocoder(
-            self.collection.street_map, quota=cfg.geocoder_quota,
-            injector=self.injector,
-        )
-        cleaner = AddressCleaner(
-            self.collection.street_map, cfg.cleaning, geocoder,
-            executor=self.executor,
-            retry=cfg.resilience.retry_policy(seed=cfg.seed),
-            breaker=cfg.resilience.breaker(),
-        )
-        clean_start = time.perf_counter()
-        report = cleaner.clean_table(table.take(city_rows))
-        clean_elapsed = time.perf_counter() - clean_start
-        self.log.record(
-            "preprocessing", "geospatial_cleaning",
-            elapsed_s=clean_elapsed,
-            rows_per_s=(
-                len(city_rows) / clean_elapsed if clean_elapsed > 0 else None
-            ),
-            city=cfg.city,
-            phi=cfg.cleaning.phi,
-            n_jobs=self.executor.resolve_jobs(),
-            rows_cleaned=len(city_rows),
-            resolution_rate=round(report.resolution_rate(), 4),
-            geocoder_requests=report.geocoder_requests,
-        )
-        for degradation in report.degradations:
-            self.log.record("preprocessing", "degradation", **degradation)
-        cleaned = self._scatter_cleaned(table, report.table, city_rows)
-        return cleaned, report, city_rows
+        before = self.executor.fallbacks
+        yield
+        if self.executor.fallbacks > before:
+            self.log.record(
+                stage, "degradation",
+                kind="parallel_fallback",
+                detail=f"worker pool failed; {work} recomputed serially "
+                "(results unchanged)",
+                reason=self.executor.last_fallback_reason,
+            )
 
     def _outlier_pass(
         self,
@@ -457,7 +497,8 @@ class Indice:
                 budget_s=cfg.resilience.stage_timeout_s,
             )
             return univariate, None, keep, True
-        matrix, __ = standardize(kept_features(keep))
+        with self._logged_fallbacks("preprocessing", "the DBSCAN feature matrix"):
+            matrix, __ = standardize(kept_features(keep))
         estimate = estimate_dbscan_params(matrix)
         result = dbscan(matrix, estimate.eps, estimate.min_points)
         complete = ~np.isnan(matrix).any(axis=1)
@@ -473,11 +514,12 @@ class Indice:
     def run_sharded(self, plan):
         """Run the pipeline sharded per *plan* (out-of-core merge).
 
-        The sharded tier extracts, cleans and spills one shard at a time
-        (peak memory bounded by the largest shard), memoizes each shard
-        under a shard-granular cache key, and runs the global stages on
-        columns gathered back in original row order — so the outcome is
-        bit-identical to the monolithic pipeline over the same rows.  See
+        The sharded tier extracts, cleans and spills each shard as one
+        pool task (peak memory bounded by one shard per worker), memoizes
+        each shard under a shard-granular cache key, and runs the global
+        stages on columns gathered back in original row order — so the
+        outcome is bit-identical to the monolithic pipeline over the same
+        rows.  See
         :mod:`repro.perf.shards`; returns its ``ShardedOutcome``.
         """
         # function-scope import: repro.perf.shards imports this module at
@@ -545,12 +587,14 @@ class Indice:
         )
 
         kmeans_start = time.perf_counter()
-        matrix, __ = standardize(
-            feature_matrix(table, cfg.features, self.executor)
-        )
-        clustering = kmeans_auto(
-            matrix, cfg.k_range, seed=cfg.seed, n_init=cfg.kmeans_n_init
-        )
+        with self._logged_fallbacks("analytics", "the K-means sweep"):
+            matrix, __ = standardize(
+                feature_matrix(table, cfg.features, self.executor)
+            )
+            clustering = kmeans_auto(
+                matrix, cfg.k_range, seed=cfg.seed, n_init=cfg.kmeans_n_init,
+                executor=self.executor,
+            )
         kmeans_elapsed = time.perf_counter() - kmeans_start
         self.log.record(
             "analytics", "kmeans",
@@ -666,9 +710,10 @@ class Indice:
             region_column = (
                 "district" if level is Granularity.DISTRICT else "neighbourhood"
             )
-            means = analytics.region_means(
-                region_column, cfg.response, self.executor
-            )
+            with self._logged_fallbacks("visualization", "the region means"):
+                means = analytics.region_means(
+                    region_column, cfg.response, self.executor
+                )
             if granularity is Granularity.NEIGHBOURHOOD:
                 # Figure 2 (upper): area averages with per-certificate markers
                 add_shared(("choropleth_with_scatter_map", level), lambda b: b.add_map(
@@ -828,18 +873,6 @@ class Indice:
         self.preprocess()
         self.analyze()
         return self.build_dashboard(stakeholder, granularity)
-
-    @staticmethod
-    def _scatter_cleaned(table: Table, cleaned_city: Table, city_rows: np.ndarray) -> Table:
-        """Write the cleaned city rows back into the full table (the
-        geospatial attributes only; everything else is untouched)."""
-        out = table
-        for name in ("address", "house_number", "zip_code", "latitude", "longitude"):
-            column = table.column(name)
-            values = column.values.copy()
-            values[city_rows] = cleaned_city[name]
-            out = out.with_column(Column(name, column.kind, values))
-        return out.select(table.column_names)
 
     def analysis_version(self) -> str:
         """Content-addressed version of the current analyzed outcome.

@@ -363,6 +363,11 @@ class FaultInjector:
             raise WorkerCrashError(f"injected crash at {site}")
         raise InjectedFault(f"injected {kind.value} fault at {site}")
 
+    def arrivals(self, site: str) -> int:
+        """Arrivals announced at *site* so far (0 when no rule watches it)."""
+        states = self._by_site.get(site)
+        return states[0].arrivals if states else 0
+
     def injections(self, site: str | None = None) -> int:
         """Number of faults injected so far (optionally at one site)."""
         return sum(

@@ -29,7 +29,11 @@ Design points:
   (see :mod:`repro.perf.shm`) and sends workers only ``(shm_name,
   col_specs, row_range)`` descriptors, so the per-chunk IPC payload is a
   few hundred bytes regardless of row count — the fix for the pickle
-  serialization tax that capped ``map`` at 2 useful workers.
+  serialization tax that capped ``map`` at 2 useful workers;
+* **coarse tasks** — :meth:`ParallelMap.map_tasks` runs a handful of
+  expensive independent units (a shard transform, one K of the elbow
+  sweep) one per chunk, through the same pool routine, so all three maps
+  share one fallback, one fault site and one fork-safety check.
 """
 
 from __future__ import annotations
@@ -227,6 +231,10 @@ class ParallelMap:
         """Whether *n_items* would actually be fanned out to a pool."""
         return self.resolve_jobs() > 1 and n_items >= self.min_parallel_items
 
+    def should_parallelize_tasks(self, n_tasks: int) -> bool:
+        """Whether :meth:`map_tasks` would run *n_tasks* on a pool."""
+        return self.resolve_jobs() > 1 and n_tasks >= 2
+
     def shard(self, items: Sequence[Any]) -> list[list[Any]]:
         """Split *items* into contiguous, order-preserving chunks."""
         n = len(items)
@@ -279,6 +287,43 @@ class ParallelMap:
             return "delay"
         return None
 
+    def _fall_back(self, exc: BaseException) -> None:
+        """Count one pool failure; the caller recomputes inline."""
+        self.fallbacks += 1
+        self.last_fallback_reason = f"{type(exc).__name__}: {exc}"
+
+    def _run_pool(
+        self,
+        worker: Callable[[Any], list],
+        payloads: list,
+        initializer: Callable[..., None] | None,
+        initargs: tuple,
+    ) -> list | None:
+        """``[worker(p) for p in payloads]`` on a fresh pool, in order.
+
+        The one place a pool is started.  A broken pool or an injected
+        crash returns ``None`` after counting the fallback, so every map
+        recomputes the same way: inline and bit-identical.
+        """
+        self._check_fork_safety()
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(self.resolve_jobs(), len(payloads)),
+                initializer=initializer,
+                initargs=initargs,
+            ) as pool:
+                return list(pool.map(worker, payloads))
+        except (WorkerCrashError, BrokenProcessPool, OSError) as exc:
+            self._fall_back(exc)
+            return None
+
+    @staticmethod
+    def _serial(func, items: list, initializer, initargs) -> list:
+        """The inline path: the initializer once, then every item."""
+        if initializer is not None:
+            initializer(*initargs)
+        return [func(item) for item in items]
+
     def map(
         self,
         func: Callable[[Any], Any],
@@ -300,32 +345,44 @@ class ParallelMap:
         """
         items = list(items)
         if not items or not self.should_parallelize(len(items)):
-            if initializer is not None:
-                initializer(*initargs)
-            return [func(item) for item in items]
-        chunks = self.shard(items)
-        payloads = [(func, chunk, self._chunk_fault()) for chunk in chunks]
-        self._check_fork_safety()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.resolve_jobs(), len(chunks)),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                results = list(pool.map(_run_chunk, payloads))
-        except (WorkerCrashError, BrokenProcessPool, OSError) as exc:
-            self.fallbacks += 1
-            self.last_fallback_reason = f"{type(exc).__name__}: {exc}"
-            if initializer is not None:
-                initializer(*initargs)
-            return [func(item) for item in items]
+            return self._serial(func, items, initializer, initargs)
+        payloads = [
+            (func, chunk, self._chunk_fault()) for chunk in self.shard(items)
+        ]
+        results = self._run_pool(_run_chunk, payloads, initializer, initargs)
+        if results is None:
+            return self._serial(func, items, initializer, initargs)
         return [item for chunk in results for item in chunk]
+
+    def map_tasks(
+        self,
+        func: Callable[[Any], Any],
+        tasks: Iterable[Any],
+        initializer: Callable[..., None] | None = None,
+        initargs: tuple = (),
+    ) -> list:
+        """``[func(t) for t in tasks]`` with one coarse task per chunk.
+
+        For a few expensive, independent units (a shard transform, one K
+        of the elbow sweep) rather than many cheap rows: the map goes
+        parallel whenever there are two workers and two tasks, ignoring
+        ``min_parallel_items``, and never batches tasks into a chunk, so
+        the pool balances them in dispatch order — put the longest first.
+        Serial path, crash fallback, fault site and ordering are those of
+        :meth:`map`: each task is one ``parallel.worker`` arrival.
+        """
+        tasks = list(tasks)
+        if not self.should_parallelize_tasks(len(tasks)):
+            return self._serial(func, tasks, initializer, initargs)
+        payloads = [(func, [task], self._chunk_fault()) for task in tasks]
+        results = self._run_pool(_run_chunk, payloads, initializer, initargs)
+        if results is None:
+            return self._serial(func, tasks, initializer, initargs)
+        return [result for (result,) in results]
 
     def _serial_table(self, chunk_func, table, initializer, initargs) -> list:
         """The inline path: one call over the whole table."""
-        if initializer is not None:
-            initializer(*initargs)
-        return list(chunk_func(table))
+        return self._serial(chunk_func, [table], initializer, initargs)[0]
 
     def map_table(
         self,
@@ -357,14 +414,12 @@ class ParallelMap:
         n = table.n_rows
         if n == 0 or not self.should_parallelize(n):
             return self._serial_table(chunk_func, table, initializer, initargs)
-        self._check_fork_safety()
         started = time.perf_counter()
         try:
             shared = SharedTable.create(table)
         except (OSError, ValueError) as exc:
             # /dev/shm full or unavailable: degrade to the serial path
-            self.fallbacks += 1
-            self.last_fallback_reason = f"{type(exc).__name__}: {exc}"
+            self._fall_back(exc)
             return self._serial_table(chunk_func, table, initializer, initargs)
         self.encode_seconds += time.perf_counter() - started
         self.shm_bytes += shared.nbytes
@@ -376,20 +431,12 @@ class ParallelMap:
             self.descriptor_bytes += sum(
                 len(pickle.dumps(slice_)) for __, slice_, __unused in payloads
             )
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.resolve_jobs(), len(payloads)),
-                    initializer=initializer,
-                    initargs=initargs,
-                ) as pool:
-                    results = list(pool.map(_run_table_chunk, payloads))
-            except (WorkerCrashError, BrokenProcessPool, OSError) as exc:
-                self.fallbacks += 1
-                self.last_fallback_reason = f"{type(exc).__name__}: {exc}"
-                return self._serial_table(
-                    chunk_func, table, initializer, initargs
-                )
+            results = self._run_pool(
+                _run_table_chunk, payloads, initializer, initargs
+            )
         finally:
             shared.close()
             shared.unlink()
+        if results is None:
+            return self._serial_table(chunk_func, table, initializer, initargs)
         return [item for chunk in results for item in chunk]

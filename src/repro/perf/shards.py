@@ -12,12 +12,18 @@ aggregation:
   parts) and knows how to *extract* each one — either generated
   independently per shard key (:func:`repro.dataset.synthetic
   .generate_epc_shard`) or sliced out of an existing collection;
-* the :class:`ShardRunner` cleans each shard with the same
-  :class:`~repro.core.engine.Indice` machinery the monolithic path uses
-  (same geocoder, same :class:`~repro.perf.parallel.ParallelMap` fan-out)
-  and *spills* the cleaned shard to disk in the columnar codec of
-  :mod:`repro.perf.spill` — so peak RSS stays bounded by the largest
-  shard's working set, never the dataset;
+* the :class:`ShardRunner` cleans each shard with the same cleaning
+  pass the monolithic path uses (:func:`repro.core.engine._clean_city`,
+  same geocoder) and *spills* the cleaned shard to disk in the columnar
+  codec of :mod:`repro.perf.spill`.  The transforms are independent, so
+  the missed ones run as coarse tasks on the engine's pool
+  (:meth:`~repro.perf.parallel.ParallelMap.map_tasks`, one shard per
+  task, each cleaning serially); cache lookups, spill validation, every
+  log record and every cache write stay in the parent, in shard order.
+  A single miss runs inline, and so does every task when the engine has
+  a fault injector — the injector's per-site arrival order is parent
+  state.  Peak RSS stays bounded by two resident shards across
+  processes (one per worker), never the dataset;
 * the merge runs the engine's one global outlier pass
   (:meth:`~repro.core.engine.Indice._outlier_pass`, the code
   ``Indice.preprocess`` runs) and supplies only each full analysis column
@@ -40,6 +46,7 @@ degradation in either mode, exactly like the monolithic path.
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
@@ -52,6 +59,7 @@ from ..core.engine import (
     Indice,
     PreprocessingOutcome,
     _PREPROCESS_FIELDS,
+    _clean_city,
 )
 from ..dataset.noise import NoiseConfig, apply_noise
 from ..dataset.synthetic import (
@@ -72,6 +80,7 @@ from ..preprocessing.dbscan import dbscan  # noqa: F401
 from ..preprocessing.kdistance import estimate_dbscan_params  # noqa: F401
 from ..preprocessing.outliers import detect_outliers  # noqa: F401
 from .cache import StageCache, fingerprint_table, fingerprint_value
+from .parallel import ParallelMap
 from .spill import SpillError, SpillFile, write_spill
 
 __all__ = [
@@ -355,6 +364,84 @@ class ShardPlan:
         return merged.take(order)
 
 
+@dataclass(frozen=True)
+class _ShardTask:
+    """One missed shard's transform: its plan position and spill name."""
+
+    index: int
+    spec: ShardSpec
+    spill_name: str
+
+
+@dataclass
+class _ShardResult:
+    """What one transform task hands back to the parent (picklable)."""
+
+    record: _ShardRecord
+    stat: ShardStat
+    #: the cleaning pass's provenance steps, replayed by the parent
+    steps: list[tuple[str, str, dict]]
+    #: cleaning degraded the rows (a geocoder shortfall): never cache it
+    degraded: bool
+    #: gazetteer lookups the task's index copy resolved, for the parent's
+    #: index to adopt — so a later in-process re-run finds them memoized,
+    #: as it would had the parent cleaned the shard itself
+    resolved: list
+
+
+#: ``(plan, config, injector, cleaning executor, spill dir)`` of the
+#: transform tasks this process runs; set by :func:`_init_transform_worker`
+#: once per pool worker (or once inline) and cleared by the parent after.
+_TRANSFORM_STATE: tuple | None = None
+
+
+def _init_transform_worker(state: tuple | None) -> None:
+    """Install the shared transform state (the pool's initializer)."""
+    global _TRANSFORM_STATE
+    _TRANSFORM_STATE = state
+
+
+def _transform_shard(task: _ShardTask) -> _ShardResult:
+    """Extract, clean and spill one shard (a pool worker, or inline).
+
+    Logs nothing and touches no cache: the parent replays the returned
+    provenance steps and writes the cache entry, in shard order.
+    """
+    plan, config, injector, executor, spill_dir = _TRANSFORM_STATE
+    started = time.perf_counter()
+    spec = task.spec
+    index = plan.collection.street_map.match_index()
+    mark = index.memo_size()
+    cleaned, report, city_rows, steps = _clean_city(
+        plan.extract(spec), plan.collection, config, injector, executor
+    )
+    path = spill_dir / task.spill_name
+    # a transiently failing spill write is retried against a
+    # still-consistent world (the write is atomic), so a retry can
+    # never duplicate or drop rows — re-spilling is idempotent
+    spill_bytes = retry_with_backoff(
+        lambda: write_spill(cleaned, path, injector),
+        policy=config.resilience.retry_policy(seed=config.seed),
+        retry_on=(TransientServiceError, InjectedIOError),
+    )
+    record = _ShardRecord(
+        key=spec.key,
+        spill_name=task.spill_name,
+        n_rows=cleaned.n_rows,
+        sha256="",
+        city_rows=len(city_rows),
+        resolution_rate=report.resolution_rate(),
+        geocoder_requests=report.geocoder_requests,
+    )
+    stat = ShardStat(
+        spec.key, cleaned.n_rows, False, time.perf_counter() - started,
+        spill_bytes, degradations=len(report.degradations),
+    )
+    return _ShardResult(
+        record, stat, steps, report.output_degraded, index.memo_since(mark)
+    )
+
+
 class _SpillPool:
     """An LRU of open spill maps bounding resident shards during merge.
 
@@ -434,71 +521,118 @@ class ShardRunner:
             return False
         return True
 
-    def _transform_shard(
-        self, spec: ShardSpec, config_fp: str, spill_dir: Path
-    ) -> tuple[_ShardRecord, ShardStat, str]:
-        """Clean one shard and spill it, or reuse the warm spill.
+    def _transform_shards(
+        self, config_fp: str, spill_dir: Path
+    ) -> tuple[list[_ShardRecord], list[ShardStat], list[str]]:
+        """Clean and spill every missed shard; reuse every warm spill.
 
         The cache key is ``(preprocess-config fingerprint, shard key,
         shard content hash)``; a record only counts as a hit when its
         spill file still verifies, so cache state and spill state can
-        never disagree silently.  Returns the shard's content
-        fingerprint too — :meth:`run` folds the ordered fingerprints
-        into the post-merge memo key.
+        never disagree silently.  Lookups, spill validation and hit
+        counting run here in the parent; only the misses become
+        :func:`_transform_shard` tasks.  The parent then writes each
+        shard's provenance steps (tagged with the shard key) and cache
+        entry in shard order, however the tasks ran.  Returns records,
+        stats and content fingerprints in shard order — :meth:`run` folds
+        the fingerprints into the post-merge memo key.
         """
         engine = self.engine
         cache = engine.cache
-        started = time.perf_counter()
-        table: Table | None = None
-        if spec.recipe is None:
-            table = self.plan.extract(spec)
-        content_fp = self.plan.shard_fingerprint(spec, table)
-        cache_key = None
-        if cache is not None:
-            cache_key = cache.shard_key(
-                "preprocess", config_fp, spec.key, content_fp
-            )
-            found, record = engine._cache_get("sharding", cache_key)
-            if found and self._validate_spill(record, spill_dir):
-                cache.count_shard_hit()
-                elapsed = time.perf_counter() - started
-                stat = ShardStat(
-                    spec.key, record.n_rows, True, elapsed,
-                    (spill_dir / record.spill_name).stat().st_size,
+        plan = self.plan
+        hits: dict[int, tuple[_ShardRecord, ShardStat]] = {}
+        tasks: list[_ShardTask] = []
+        lookups: dict[int, tuple[str | None, float]] = {}
+        content_fps: list[str] = []
+        for index, spec in enumerate(plan.shards):
+            started = time.perf_counter()
+            # partition shards hash their rows; the task re-extracts them,
+            # so the parent never holds more than one shard's input
+            table = plan.extract(spec) if spec.recipe is None else None
+            content_fp = plan.shard_fingerprint(spec, table)
+            content_fps.append(content_fp)
+            cache_key = None
+            if cache is not None:
+                cache_key = cache.shard_key(
+                    "preprocess", config_fp, spec.key, content_fp
                 )
-                return record, stat, content_fp
-            cache.count_shard_miss()
-        if table is None:
-            table = self.plan.extract(spec)
-        cleaned, report, city_rows = engine._clean_city_rows(table)
-        spill_name = f"{cache_key or fingerprint_value((config_fp, spec.key, content_fp))[:32]}.spill"
-        path = spill_dir / spill_name
-        # a transiently failing spill write is retried against a
-        # still-consistent world (the write is atomic), so a retry can
-        # never duplicate or drop rows — re-spilling is idempotent
-        retry = engine.config.resilience.retry_policy(seed=engine.config.seed)
-        spill_bytes = retry_with_backoff(
-            lambda: write_spill(cleaned, path, engine.injector),
-            policy=retry,
-            retry_on=(TransientServiceError, InjectedIOError),
+                found, record = engine._cache_get("sharding", cache_key)
+                if found and self._validate_spill(record, spill_dir):
+                    cache.count_shard_hit()
+                    hits[index] = (record, ShardStat(
+                        spec.key, record.n_rows, True,
+                        time.perf_counter() - started,
+                        (spill_dir / record.spill_name).stat().st_size,
+                    ))
+                    continue
+                cache.count_shard_miss()
+            spill_key = cache_key or fingerprint_value(
+                (config_fp, spec.key, content_fp)
+            )[:32]
+            tasks.append(_ShardTask(index, spec, f"{spill_key}.spill"))
+            lookups[index] = (cache_key, time.perf_counter() - started)
+
+        results = dict(
+            zip((task.index for task in tasks), self._run_tasks(tasks, spill_dir))
         )
-        record = _ShardRecord(
-            key=spec.key,
-            spill_name=spill_name,
-            n_rows=cleaned.n_rows,
-            sha256="",
-            city_rows=len(city_rows),
-            resolution_rate=report.resolution_rate(),
-            geocoder_requests=report.geocoder_requests,
+        gazetteer = plan.collection.street_map.match_index()
+        records, stats = [], []
+        for index, spec in enumerate(plan.shards):
+            if index in results:
+                result = results[index]
+                gazetteer.adopt(result.resolved)
+                cache_key, lookup_s = lookups[index]
+                for stage, action, detail in result.steps:
+                    engine.log.record(stage, action, shard=spec.key, **detail)
+                if cache_key is not None and not result.degraded:
+                    engine._cache_put("sharding", cache_key, result.record)
+                result.stat.elapsed_s += lookup_s
+                record, stat = result.record, result.stat
+            else:
+                record, stat = hits[index]
+            records.append(record)
+            stats.append(stat)
+            engine.log.record(
+                "sharding", "shard_transform",
+                shard=spec.key, rows=stat.rows, cache_hit=stat.cache_hit,
+                elapsed_s=stat.elapsed_s, spill_bytes=stat.spill_bytes,
+                resolution_rate=round(record.resolution_rate, 4),
+            )
+        return records, stats, content_fps
+
+    def _run_tasks(
+        self, tasks: list[_ShardTask], spill_dir: Path
+    ) -> list[_ShardResult]:
+        """Run the transform *tasks* on the engine's pool or inline.
+
+        Two or more misses with two jobs run one task per worker, each
+        cleaning serially (no nested pools).  With a fault injector the
+        tasks run inline in shard order instead: the injector's per-site
+        arrival order is parent state, and it is what makes a chaos run
+        reproducible.  Inline tasks clean through the engine's executor,
+        exactly as an unsharded pass does.
+        """
+        engine = self.engine
+        pooled = engine.injector is None and (
+            engine.executor.should_parallelize_tasks(len(tasks))
         )
-        if cache_key is not None and not report.output_degraded:
-            engine._cache_put("sharding", cache_key, record)
-        elapsed = time.perf_counter() - started
-        stat = ShardStat(
-            spec.key, cleaned.n_rows, False, elapsed, spill_bytes,
-            degradations=len(report.degradations),
-        )
-        return record, stat, content_fp
+        if pooled:
+            executor, cleaner = engine.executor, ParallelMap()
+            watch = engine._logged_fallbacks("sharding", "the shard transforms")
+        else:
+            # inline, a fallback can only happen inside cleaning, whose
+            # own provenance steps already log it
+            executor, cleaner = ParallelMap(), engine.executor
+            watch = contextlib.nullcontext()
+        state = (self.plan, engine.config, engine.injector, cleaner, spill_dir)
+        try:
+            with watch:
+                return executor.map_tasks(
+                    _transform_shard, tasks,
+                    initializer=_init_transform_worker, initargs=(state,),
+                )
+        finally:
+            _init_transform_worker(None)  # drop the parent's reference
 
     # -- merge-side gathers ----------------------------------------------
 
@@ -604,22 +738,9 @@ class ShardRunner:
         )
         config_fp = engine._config_fingerprint(_PREPROCESS_FIELDS)
 
-        records: list[_ShardRecord] = []
-        stats: list[ShardStat] = []
-        content_fps: list[str] = []
-        for spec in plan.shards:
-            record, stat, content_fp = self._transform_shard(
-                spec, config_fp, spill_dir
-            )
-            records.append(record)
-            stats.append(stat)
-            content_fps.append(content_fp)
-            log.record(
-                "sharding", "shard_transform",
-                shard=spec.key, rows=stat.rows, cache_hit=stat.cache_hit,
-                elapsed_s=stat.elapsed_s, spill_bytes=stat.spill_bytes,
-                resolution_rate=round(record.resolution_rate, 4),
-            )
+        records, stats, content_fps = self._transform_shards(
+            config_fp, spill_dir
+        )
         if engine.cache is not None:
             log.record(
                 "sharding", "shard_cache",

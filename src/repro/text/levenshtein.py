@@ -261,6 +261,27 @@ class GazetteerIndex:
     def __len__(self) -> int:
         return len(self.candidates)
 
+    def memo_size(self) -> int:
+        """How many ``(query, phi)`` lookups the memo holds."""
+        return len(self._memo)
+
+    def memo_since(self, mark: int) -> list:
+        """The memo entries added after the first *mark*, oldest first.
+
+        A pool worker returns these with its result so the parent's index
+        learns what the worker's copy resolved (see :meth:`adopt`).
+        """
+        return list(self._memo.items())[mark:]
+
+    def adopt(self, entries: list) -> None:
+        """Take memo entries computed by another copy of this index.
+
+        Entries are pure functions of ``(candidates, query, phi)``, so an
+        entry from an index over the same candidate list is exactly what
+        :meth:`best_match` would compute here.
+        """
+        self._memo.update(entries)
+
     @staticmethod
     def _length_feasible(la: int, lb: int, phi: float) -> bool:
         """Whether a candidate of length *lb* can clear *phi* at all."""

@@ -220,6 +220,45 @@ class TestChaosSmoke:
 
 
 # ---------------------------------------------------------------------------
+# Every pool fallback is logged, wherever it happens
+# ---------------------------------------------------------------------------
+
+#: ``parallel.worker`` arrivals of the smoke pipeline plus one district
+#: dashboard: address resolution, the K-means feature matrix, one task per
+#: K of the sweep and the region means.
+SMOKE_WORKER_ARRIVALS = 27
+
+
+def _run_pipeline_and_dashboard(collection, injector):
+    from repro.geo.regions import Granularity
+    from repro.query.stakeholders import Stakeholder
+
+    engine = _run_pipeline(collection, injector=injector)
+    engine.build_dashboard(Stakeholder.PUBLIC_ADMINISTRATION, Granularity.DISTRICT)
+    return engine
+
+
+class TestFallbacksAreLogged:
+    def test_arrival_count_covers_every_pool(self, smoke_collection):
+        injector = FaultInjector(FaultPlan.parse("parallel.worker:crash*0"))
+        _run_pipeline_and_dashboard(smoke_collection, injector)
+        assert injector.arrivals("parallel.worker") == SMOKE_WORKER_ARRIVALS
+
+    @pytest.mark.parametrize("after", range(SMOKE_WORKER_ARRIVALS))
+    def test_crash_at_any_arrival_is_logged(
+        self, smoke_collection, smoke_reference, after
+    ):
+        injector = FaultInjector(
+            FaultPlan.parse(f"parallel.worker:crash*1+{after}")
+        )
+        engine = _run_pipeline_and_dashboard(smoke_collection, injector)
+        assert engine.executor.fallbacks == 1
+        assert "parallel_fallback" in _degradation_kinds(engine)
+        # the serial recompute is bit-identical
+        assert _signature(engine) == smoke_reference
+
+
+# ---------------------------------------------------------------------------
 # Full sweep: pytest -m chaos
 # ---------------------------------------------------------------------------
 

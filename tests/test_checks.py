@@ -850,6 +850,28 @@ class TestProjectIndex:
         assert "pkg.a" in result.findings[0].message
         assert "pkg.b" in result.findings[0].message
 
+    def test_task_map_submissions_are_audited_like_map(self, tmp_path):
+        # map_tasks ships its func and items to a pool exactly like map:
+        # a lambda, a nested function and a stale global all count
+        path = tmp_path / "tasks.py"
+        path.write_text(
+            "_CACHE = {}\n"
+            "def warm(entries):\n"
+            "    _CACHE.update(entries)\n"
+            "def lookup(item):\n"
+            "    return _CACHE.get(item)\n"
+            "def run(executor, items):\n"
+            "    def helper(item):\n"
+            "        return item\n"
+            "    executor.map_tasks(lambda item: item, items)\n"
+            "    executor.map_tasks(helper, items)\n"
+            "    return executor.map_tasks(lookup, items)\n"
+        )
+        result = Checker().run([path])
+        assert [(f.rule, f.line) for f in result.findings] == [
+            ("PAR001", 9), ("PAR001", 10), ("PAR001", 11),
+        ]
+
 
 class TestAllEntryPoint:
     def test_all_flag_runs_sweep_then_tools(self):

@@ -179,3 +179,67 @@ class TestElbow:
                 assert got.tobytes() == want.tobytes()
             else:
                 assert got == want
+
+
+class TestPooledSweep:
+    """The K sweep on a 2-job pool equals the serial sweep bit for bit."""
+
+    @staticmethod
+    def _assert_same_fit(got, want):
+        for f in dataclasses.fields(want):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(w, np.ndarray):
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+            else:
+                assert g == w
+
+    @staticmethod
+    def _points(seed):
+        points = blobs(
+            [(0, 0, 1), (5, 1, 0), (1, 6, 2), (6, 6, 6)],
+            n_per=45, spread=0.9, seed=seed,
+        )
+        points[seed % 7 :: 11, seed % 3] = np.nan  # unassigned rows ride along
+        return points
+
+    @pytest.mark.parametrize("k_range", [(1, 1), (2, 2), (2, 10)])
+    @pytest.mark.parametrize("seed", [0, 4, 21])
+    def test_pool_equals_serial(self, seed, k_range):
+        from repro.perf.parallel import ParallelMap
+
+        kmeans_mod = importlib.import_module("repro.analytics.kmeans")
+        points = self._points(seed)
+        executor = ParallelMap(n_jobs=2)
+        serial = kmeans_mod._sweep(points, k_range, seed=seed, n_init=3)
+        pooled = kmeans_mod._sweep(
+            points, k_range, seed=seed, n_init=3, executor=executor
+        )
+        assert list(pooled) == list(serial)  # ascending K, like the curve
+        for k, fit in serial.items():
+            self._assert_same_fit(pooled[k], fit)
+
+        auto_serial = kmeans_auto(points, k_range, seed=seed, n_init=3)
+        auto_pooled = kmeans_auto(
+            points, k_range, seed=seed, n_init=3, executor=executor
+        )
+        assert list(auto_pooled.curve.items()) == list(auto_serial.curve.items())
+        assert auto_pooled.chosen_k == auto_serial.chosen_k
+        self._assert_same_fit(auto_pooled.result, auto_serial.result)
+        assert executor.fallbacks == 0
+
+    def test_worker_crash_falls_back_to_the_serial_sweep(self):
+        from repro.faults import FaultInjector, FaultPlan
+        from repro.perf.parallel import ParallelMap
+
+        points = self._points(3)
+        executor = ParallelMap(
+            n_jobs=2,
+            injector=FaultInjector(FaultPlan.parse("parallel.worker:crash*1")),
+        )
+        serial = kmeans_auto(points, (2, 10), seed=3, n_init=3)
+        pooled = kmeans_auto(points, (2, 10), seed=3, n_init=3, executor=executor)
+        assert executor.fallbacks == 1
+        assert list(pooled.curve.items()) == list(serial.curve.items())
+        assert pooled.chosen_k == serial.chosen_k
+        self._assert_same_fit(pooled.result, serial.result)

@@ -28,6 +28,8 @@ from repro.dataset.synthetic import (
     plan_generation_shards,
 )
 from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
+from repro.perf import parallel as parallel_module
+from repro.perf import shards as shards_module
 from repro.perf.cache import StageCache
 from repro.perf.shards import ShardPlan, ShardRunner
 from repro.perf.spill import SpillError, SpillFile, write_spill
@@ -482,3 +484,139 @@ class TestShardCache:
         counter_steps = [s for s in steps if s.action == "shard_cache"]
         assert counter_steps[-1].detail["misses"] == len(plan.shards)
         assert "merge" in actions
+
+
+# ---------------------------------------------------------------------------
+# shard transforms on the pool: same outputs, log and counters as serial
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The ``initializer`` of every process pool started, in order."""
+    starts = []
+    real = parallel_module.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        starts.append(kwargs.get("initializer"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", counting)
+    return starts
+
+
+def _generator_plan():
+    return ShardPlan.from_generator(
+        SyntheticConfig(n_certificates=1200, seed=23), "by-district",
+        noise=NoiseConfig(seed=31),
+    )
+
+
+class TestShardTasksAcrossJobs:
+    @staticmethod
+    def _run(plan, spill_dir, n_jobs, spec=None, **overrides):
+        cache = StageCache()
+        injector = FaultInjector(FaultPlan.parse(spec)) if spec else None
+        cfg = _config(
+            spill_dir=str(spill_dir), stage_cache=True, n_jobs=n_jobs,
+            **overrides,
+        )
+        engine = Indice(plan.collection, cfg, cache=cache, injector=injector)
+        return engine, engine.run_sharded(plan), cache
+
+    @staticmethod
+    def _sequence(log):
+        return [(s.stage, s.action, s.detail.get("shard")) for s in log.steps]
+
+    @staticmethod
+    def _degradations(log):
+        return [(s.stage, s.detail) for s in log.degradations()]
+
+    @pytest.mark.parametrize("source", ["generator", "collection"])
+    def test_pooled_transforms_equal_serial(
+        self, collection, tmp_path, pool_starts, source
+    ):
+        plan = (
+            _generator_plan() if source == "generator"
+            else ShardPlan.from_collection(collection, "by-district")
+        )
+        serial_engine, serial, serial_cache = self._run(
+            plan, tmp_path / "serial", 1
+        )
+        assert pool_starts == []
+        pooled_engine, pooled, pooled_cache = self._run(
+            plan, tmp_path / "pooled", 2
+        )
+        assert shards_module._init_transform_worker in pool_starts
+        # each shard's cleaning steps precede its transform record, in
+        # shard order, however the tasks were scheduled
+        tagged = [t for t in self._sequence(serial_engine.log) if t[2]]
+        assert tagged == [
+            step
+            for spec in plan.shards
+            for step in (
+                ("preprocessing", "geospatial_cleaning", spec.key),
+                ("sharding", "shard_transform", spec.key),
+            )
+        ]
+
+        assert pooled.preprocessing.table == serial.preprocessing.table
+        univariate = serial.preprocessing.univariate_outliers
+        assert pooled.preprocessing.univariate_outliers.keys() == univariate.keys()
+        for name, result in univariate.items():
+            assert np.array_equal(
+                pooled.preprocessing.univariate_outliers[name].mask, result.mask
+            )
+        assert np.array_equal(
+            pooled.preprocessing.multivariate_noise,
+            serial.preprocessing.multivariate_noise,
+        )
+        assert pooled.analytics.table == serial.analytics.table
+        assert pooled.analytics.rules == serial.analytics.rules
+        assert self._sequence(pooled_engine.log) == self._sequence(serial_engine.log)
+        assert (pooled_cache.shard_hits, pooled_cache.shard_misses) == (
+            serial_cache.shard_hits, serial_cache.shard_misses,
+        )
+        assert [s.spill_bytes for s in pooled.shard_stats] == [
+            s.spill_bytes for s in serial.shard_stats
+        ]
+
+    def test_parent_index_learns_what_the_workers_resolved(self, tmp_path):
+        memos = []
+        for n_jobs in (1, 2):
+            plan = _generator_plan()  # a fresh street map, a cold index
+            self._run(plan, tmp_path / f"jobs-{n_jobs}", n_jobs)
+            index = plan.collection.street_map.match_index()
+            memos.append(dict(index.memo_since(0)))
+        serial, pooled = memos
+        assert serial and pooled == serial
+
+    def test_single_miss_runs_inline_without_a_pool(
+        self, tmp_path, pool_starts
+    ):
+        plan = _generator_plan()
+        spill_dir = tmp_path / "spills"
+        engine, cold, cache = self._run(plan, spill_dir, 2)
+        victim = sorted(spill_dir.glob("*.spill"))[0]
+        victim.unlink()
+        del pool_starts[:]
+
+        warm_engine = Indice(plan.collection, engine.config, cache=cache)
+        warm = warm_engine.run_sharded(plan)
+        assert [s.cache_hit for s in warm.shard_stats].count(False) == 1
+        assert cache.shard_misses == len(plan.shards) + 1
+        assert pool_starts == []
+        assert warm.preprocessing.table == cold.preprocessing.table
+        assert victim.exists()
+
+    def test_quota_fault_degrades_the_same_at_any_jobs(self, collection, tmp_path):
+        plan = ShardPlan.from_collection(collection, "by-district")
+        spec = "geocoder.request:quota+5"
+        serial_engine, serial, __ = self._run(plan, tmp_path / "serial", 1, spec)
+        pooled_engine, pooled, __ = self._run(plan, tmp_path / "pooled", 2, spec)
+        assert self._degradations(serial_engine.log)  # the quota did bind
+        assert self._degradations(pooled_engine.log) == self._degradations(
+            serial_engine.log
+        )
+        assert pooled.preprocessing.table == serial.preprocessing.table
+        assert pooled.analytics.table == serial.analytics.table
