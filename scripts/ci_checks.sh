@@ -30,12 +30,15 @@ timeout 300 python -m pytest -m chaos tests/test_chaos_pipeline.py -q
 # lifecycle (no leaks under crashes/faults), map_table semantics
 python -m pytest tests/test_shm.py -q
 
-# the serving tier's concurrency harness: coalescing, 304s, shedding,
-# graceful reload — real sockets, so it carries a wall-clock budget (a
-# wedged lock or leaked slot shows up as a hang, not a failure); the
-# REPRO_SANITIZE_LOCKS run arms the lockdep sanitizer so every lock in
-# the store/server/cache path is order-checked while the suite hammers it
+# the serving tier's concurrency harness (coalescing, 304s, shedding,
+# graceful reload) and its routing/path-policy suite (HEAD and abrupt
+# disconnects on the pooled handler) — real sockets, so both carry a
+# wall-clock budget (a wedged lock, leaked slot or dead worker shows up
+# as a hang, not a failure); the REPRO_SANITIZE_LOCKS run arms the
+# lockdep sanitizer so every lock in the store/server/cache path is
+# order-checked while the suite hammers it
 timeout 180 python -m pytest tests/test_serving_concurrency.py -q
+timeout 180 python -m pytest tests/test_serve.py -q
 REPRO_SANITIZE_LOCKS=1 timeout 120 python -m pytest \
     tests/test_lockdep.py \
     tests/test_serving_concurrency.py::TestLockdepSanitized -q

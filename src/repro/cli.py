@@ -110,26 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_perf_arguments(serve)
 
-    check = sub.add_parser(
-        "check",
-        help="run the repro.checks project analyzer (determinism/cache/fault/lineage contracts)",
-    )
-    check.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to analyze (default: src/repro)",
-    )
-    check.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    check.add_argument("--select", metavar="RULES", default=None)
-    check.add_argument("--cache", metavar="PATH", default=None)
-    check.add_argument("--changed-only", action="store_true")
-    check.add_argument("--baseline", metavar="PATH", default=None)
-    check.add_argument("--write-baseline", metavar="PATH", default=None)
-    check.add_argument("--all", action="store_true",
-                       help="AST sweep plus ruff/mypy (skipped when missing)")
-    check.add_argument("--list-rules", action="store_true")
-    check.add_argument(
-        "--explain", metavar="RULE", default=None,
-        help="print a rule's doc, rationale and its fixture good/bad pair",
+    # every argument after `check` is handed to repro.checks verbatim
+    sub.add_parser(
+        "check", add_help=False,
+        help="run the repro.checks project analyzer (determinism/cache/"
+             "fault/lineage contracts); takes `python -m repro.checks` "
+             "arguments",
     )
     return parser
 
@@ -170,11 +156,6 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
              "--cache-dir this makes warm runs skip unchanged shards; "
              "default: a temporary directory per run)",
     )
-    parser.add_argument(
-        "--max-resident-shards", type=int, default=4, metavar="N",
-        help="spill maps kept open at once during the sharded merge "
-             "(default: 4)",
-    )
 
 
 def _make_injector(args: argparse.Namespace) -> FaultInjector | None:
@@ -191,7 +172,6 @@ def _apply_perf_arguments(config: IndiceConfig, args: argparse.Namespace) -> Ind
     config.cache_dir = str(args.cache_dir) if args.cache_dir else None
     config.shards = args.shards
     config.spill_dir = str(args.spill_dir) if args.spill_dir else None
-    config.max_resident_shards = args.max_resident_shards
     return config
 
 
@@ -307,42 +287,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from .checks.cli import main as checks_main
-
-    argv = [str(p) for p in args.paths]
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.cache:
-        argv += ["--cache", str(args.cache)]
-    if args.changed_only:
-        argv += ["--changed-only"]
-    if args.baseline:
-        argv += ["--baseline", str(args.baseline)]
-    if args.write_baseline:
-        argv += ["--write-baseline", str(args.write_baseline)]
-    if args.all:
-        argv += ["--all"]
-    if args.list_rules:
-        argv += ["--list-rules"]
-    if args.explain:
-        argv += ["--explain", args.explain]
-    return checks_main(argv)
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "suggest": _cmd_suggest,
     "run": _cmd_run,
     "serve": _cmd_serve,
-    "check": _cmd_check,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "check":
+        from .checks.cli import main as checks_main
+
+        return checks_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return _COMMANDS[args.command](args)
 
 

@@ -79,9 +79,6 @@ class IndiceConfig:
     #: Directory for the per-shard columnar spill files (``None`` = a
     #: temporary directory per run).
     spill_dir: str | None = None
-    #: Shards kept decoded in memory at once during the out-of-core
-    #: merge; peak RSS scales with this, never with the dataset.
-    max_resident_shards: int = 4
 
     # -- resilience (how failures are absorbed; never changes a successful
     # run's results, so excluded from stage-cache fingerprints like the

@@ -50,7 +50,6 @@ PERF_ONLY_FIELDS = (
     "resilience",
     "shards",
     "spill_dir",
-    "max_resident_shards",
 )
 
 

@@ -30,7 +30,8 @@ aggregation:
   and the kept rows' features, gathered from the spills **in original
   row order** — so the pass returns the monolithic keep mask, and the
   merged table gathered from it (then selection, K-means, rules) is
-  bit-identical (``Table.__eq__``) to the monolithic serial pipeline;
+  bit-identical (``Table.__eq__``) to the monolithic serial pipeline.
+  Each of the three gathers opens every spill once, one at a time;
 * every per-shard transform is memoized under the shard-granular key
   ``(config_fingerprint, shard_key, shard_content_hash)``
   (:meth:`StageCache.shard_key`), so editing one district re-runs one
@@ -442,49 +443,6 @@ def _transform_shard(task: _ShardTask) -> _ShardResult:
     )
 
 
-class _SpillPool:
-    """An LRU of open spill maps bounding resident shards during merge.
-
-    At most *max_open* :class:`SpillFile` handles stay mapped at once;
-    column reads re-open evicted shards on demand (a header parse — the
-    payload itself is only touched per requested column).  Always close
-    the pool (``with`` / ``finally``): it owns every handle it opened.
-    """
-
-    def __init__(self, paths: dict[str, Path], max_open: int, injector=None):
-        self._paths = paths
-        self._max = max(1, max_open)
-        self._injector = injector
-        self._open: dict[str, SpillFile] = {}
-
-    def handle(self, key: str) -> SpillFile:
-        """The (possibly re-opened) spill of shard *key*, LRU-refreshed."""
-        spill = self._open.pop(key, None)
-        if spill is None:
-            spill = SpillFile.open(self._paths[key], self._injector)
-            try:
-                while len(self._open) >= self._max:
-                    oldest = next(iter(self._open))
-                    self._open.pop(oldest).close()
-            except BaseException:
-                spill.close()
-                raise
-        self._open[key] = spill
-        return spill
-
-    def close(self) -> None:
-        """Close every resident handle (idempotent)."""
-        for spill in self._open.values():
-            spill.close()
-        self._open.clear()
-
-    def __enter__(self) -> "_SpillPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class ShardRunner:
     """Execute one :class:`ShardPlan` through an :class:`Indice` engine.
 
@@ -636,56 +594,18 @@ class ShardRunner:
 
     # -- merge-side gathers ----------------------------------------------
 
-    def _gather_full_numeric(
-        self, pool: _SpillPool, name: str, total: int
-    ) -> np.ndarray:
-        """One numeric column over every row, in original row order."""
-        out = np.empty(total, dtype=np.float64)
-        for spec in self.plan.shards:
-            column = pool.handle(spec.key).column(name)
-            out[spec.original_rows()] = column.values
-        return out
-
-    def _gather_selected(
+    def _gather(
         self,
-        pool: _SpillPool,
-        name: str,
+        paths: dict[str, Path],
+        names: tuple[str, ...] | None,
         keep: np.ndarray,
-    ) -> Column:
-        """One column over the rows *keep* selects, in original row order.
+    ) -> list[Column]:
+        """The named columns over the rows *keep* selects, in row order.
 
-        Each shard scatters its surviving values into their rank positions
-        among the kept original indices, so the result is exactly the
-        monolithic ``column[keep]``.
-        """
-        kept_sorted = np.flatnonzero(keep)
-        kind = None
-        out: np.ndarray | None = None
-        for spec in self.plan.shards:
-            spill = pool.handle(spec.key)
-            column = spill.column(name)
-            if out is None:
-                kind = column.kind
-                out = (
-                    np.empty(len(kept_sorted), dtype=np.float64)
-                    if kind is ColumnKind.NUMERIC
-                    else np.empty(len(kept_sorted), dtype=object)
-                )
-            orig = spec.original_rows()
-            inside = keep[orig]
-            if inside.any():
-                positions = np.searchsorted(kept_sorted, orig[inside])
-                out[positions] = column.values[inside]
-        assert out is not None and kind is not None
-        return Column(name, kind, out)
-
-    def _gather_table(self, paths: dict[str, Path], keep: np.ndarray) -> Table:
-        """The merged table: every projected column's kept rows, in order.
-
-        Builds the table shard by shard: each spill is opened once, and
-        scatters the kept rows of every projected column into their rank
-        positions among the kept original indices (the scatter of
-        :meth:`_gather_selected`).  Only one spill is open at a time.
+        Each spill is opened once, one at a time, and scatters the kept
+        rows of every named column into their rank positions among the
+        kept original indices — so each result is exactly the monolithic
+        ``column[keep]``.  ``names=None`` gathers every spilled column.
         """
         kept_sorted = np.flatnonzero(keep)
         columns: list[Column] = []
@@ -693,17 +613,12 @@ class ShardRunner:
             with SpillFile.open(paths[spec.key], self.engine.injector) as spill:
                 if not columns:
                     kinds = {col.name: col.kind for col in spill.specs}
-                    names = (
-                        spill.column_names
-                        if self.plan.columns is None
-                        else self.plan.columns
-                    )
                     columns = [
                         Column(name, kinds[name], np.empty(
                             len(kept_sorted),
                             np.float64 if kinds[name] is ColumnKind.NUMERIC else object,
                         ))
-                        for name in names
+                        for name in (spill.column_names if names is None else names)
                     ]
                 orig = spec.original_rows()
                 inside = keep[orig]
@@ -712,7 +627,7 @@ class ShardRunner:
                 positions = np.searchsorted(kept_sorted, orig[inside])
                 for column in columns:
                     column.values[positions] = spill.column(column.name).values[inside]
-        return Table(columns)
+        return columns
 
     # -- the full sharded pipeline ----------------------------------------
 
@@ -734,7 +649,6 @@ class ShardRunner:
             "sharding", "plan",
             scheme=plan.scheme, shards=len(plan.shards), rows=total,
             spill_dir=str(spill_dir),
-            max_resident_shards=cfg.max_resident_shards,
         )
         config_fp = engine._config_fingerprint(_PREPROCESS_FIELDS)
 
@@ -794,22 +708,23 @@ class ShardRunner:
 
         paths = self._spill_paths(spill_dir, records)
         merge_started = time.perf_counter()
-        with _SpillPool(paths, cfg.max_resident_shards, engine.injector) as pool:
-            # the global outlier pass reads full columns and the kept rows'
-            # features gathered back in original row order — exactly what
-            # the monolithic pass reads, so the keep mask is bit-identical
-            univariate, noise_mask, keep, pass_degraded = engine._outlier_pass(
-                lambda name: self._gather_full_numeric(pool, name, total),
-                lambda kept: np.column_stack(
-                    [
-                        self._gather_selected(pool, name, kept).values
-                        for name in cfg.features
-                    ]
-                ),
-                total,
-                deadline,
-            )
-        merged = self._gather_table(paths, keep)
+        # the global outlier pass reads full columns and the kept rows'
+        # features gathered back in original row order — exactly what the
+        # monolithic pass reads, so the keep mask is bit-identical
+        attributes = tuple(cfg.features) + (cfg.response,)
+        full = {
+            column.name: column.values
+            for column in self._gather(paths, attributes, np.ones(total, bool))
+        }
+        univariate, noise_mask, keep, pass_degraded = engine._outlier_pass(
+            full.__getitem__,
+            lambda kept: np.column_stack(
+                [column.values for column in self._gather(paths, cfg.features, kept)]
+            ),
+            total,
+            deadline,
+        )
+        merged = Table(self._gather(paths, plan.columns, keep))
         merge_elapsed = time.perf_counter() - merge_started
         log.record(
             "sharding", "merge",

@@ -1,18 +1,21 @@
-"""The production serving tier: immutable artifacts behind a thread pool.
+"""The serving tier: immutable artifacts behind a thread pool.
 
-``repro.serve`` is the development surface — one process, lazy rendering,
-no caching headers.  This package is what the ROADMAP calls the
-production serving tier, built from three pieces:
+The paper plans "to release our framework INDICE in order to have real
+feed-backs from end-users (e.g., citizens, energy experts, public
+administration)".  This package is that release surface — the one HTTP
+server ``repro serve`` runs — built from three pieces:
 
-* :mod:`repro.serving.store` — an **immutable artifact store**.  Every
-  dashboard, the report and the GeoJSON layers are rendered at most once
-  per *analysis version* (:meth:`~repro.core.engine.Indice.analysis_version`)
-  into content-addressed bytes with strong ETags and pre-compressed gzip
+* :mod:`repro.serving.store` — an **immutable artifact store**.  The
+  index, every stakeholder dashboard, the report and the GeoJSON layers
+  (the ``render_*`` functions) are rendered at most once per *analysis
+  version* (:meth:`~repro.core.engine.Indice.analysis_version`) into
+  content-addressed bytes with strong ETags and pre-compressed gzip
   twins.  Cold hits are **coalesced**: N concurrent requests for the same
   un-rendered artifact trigger exactly one render (a single-flight lock
   per key) while the other N-1 wait for the bytes.
 * :mod:`repro.serving.server` — a **multi-worker HTTP server** over the
-  store: a fixed pool of handler threads (``--workers``), conditional
+  store: one hostile-path policy (:func:`~repro.serving.server.normalize_path`,
+  400), a fixed pool of handler threads (``--workers``), conditional
   GETs (``If-None-Match`` → 304), ``Cache-Control``, gzip negotiation,
   HEAD, and **load shedding** — when more than ``--max-inflight``
   requests are in flight, new arrivals wait out a short

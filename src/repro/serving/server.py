@@ -15,13 +15,14 @@ Request lifecycle:
    requests are already being served the deadline expires and the
    request is shed with ``503 + Retry-After`` instead of queueing
    without bound (the serving twin of the pipeline's load shedding);
-2. **routing** — :func:`repro.serve.normalize_path` applies the shared
-   hostile-path policy (400), unknown routes 404;
+2. **routing** — :func:`normalize_path` applies the hostile-path
+   policy (400), unknown routes 404;
 3. **artifact** — the store returns the immutable payload, rendering it
    once under the single-flight lock if cold; any rendering failure
    (injected or real) becomes a per-request 500 page, never a traceback;
 4. **representation** — strong ``ETag`` vs ``If-None-Match`` (304),
-   gzip when the client accepts it, ``Cache-Control`` on everything.
+   gzip when the client lists it with ``q > 0``, ``Cache-Control`` on
+   everything.
 
 **Graceful reload**: each request reads ``self._store`` exactly once, so
 :meth:`reload` swapping the attribute is atomic — in-flight requests
@@ -37,20 +38,78 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from urllib.parse import unquote
+from xml.sax.saxutils import escape
 
 from ..checks import lockdep as _lockdep
 from ..core.engine import Indice
 from ..faults.policy import Deadline
-from ..serve import _error_page, normalize_path, write_payload
-from .store import ArtifactStore, build_store
+from .store import _HTML, ArtifactStore, build_store
 
-__all__ = ["ArtifactServer", "PooledHTTPServer", "Response"]
+__all__ = [
+    "ArtifactServer",
+    "PooledHTTPServer",
+    "Response",
+    "normalize_path",
+    "write_payload",
+]
 
 #: Artifacts are immutable per analysis version but live at stable URLs,
 #: so clients must revalidate — which the strong ETags make a cheap 304.
 _REVALIDATE = "public, no-cache"
 #: Error pages and health probes must never be cached.
 _NO_STORE = "no-store"
+
+_ERROR_TEMPLATE = """<!DOCTYPE html><html><head><meta charset='utf-8'>
+<title>INDICE — {status}</title><style>
+body {{ font-family: sans-serif; margin: 40px; color: #1c2733; }}
+h1 {{ color: #883333; }} a {{ color: #225588; }}
+</style></head><body>
+<h1>{status} — {title}</h1>
+<p>{message}</p>
+<p><a href="/">Back to the index</a></p>
+</body></html>"""
+
+
+def normalize_path(raw_path: str) -> str | None:
+    """The request path with query/fragment stripped, or None if hostile.
+
+    The server's one path policy:
+
+    * the query string and fragment never participate in routing;
+    * the path must be absolute and free of backslashes, raw control
+      characters and raw angle brackets;
+    * traversal sequences (``..``) and control characters are rejected
+      whether they arrive raw or percent-encoded (``%2e%2e``, ``%00``);
+      other escapes are kept literal — there is no filesystem behind the
+      routes, and reflected text is always HTML-escaped;
+    * trailing slashes are normalized away (``/report/`` == ``/report``).
+    """
+    path = raw_path.split("?", 1)[0].split("#", 1)[0]
+    if not path.startswith("/") or "\\" in path:
+        return None
+    if any(ord(c) < 0x20 or c in "<>" for c in path):
+        return None
+    decoded = unquote(path)
+    if ".." in decoded or any(ord(c) < 0x20 for c in decoded):
+        return None
+    return path.rstrip("/") or "/"
+
+
+def write_payload(stream, payload: bytes) -> bool:
+    """Write *payload* to a socket stream, absorbing client disconnects.
+
+    A browser closing the tab mid-response surfaces as
+    ``BrokenPipeError`` / ``ConnectionResetError`` on the write; that is
+    the client's prerogative, not a server failure, so it must never
+    escape into ``http.server``'s handler loop.  Returns whether the
+    payload was fully written.
+    """
+    try:
+        stream.write(payload)
+        return True
+    except (BrokenPipeError, ConnectionResetError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -74,9 +133,11 @@ class Response:
 def _page(status: int, title: str, message: str,
           headers: tuple[tuple[str, str], ...] = ()) -> Response:
     """An HTML error page as a :class:`Response` (never cached)."""
-    status, content_type, body = _error_page(status, title, message)
+    body = _ERROR_TEMPLATE.format(
+        status=status, title=escape(title), message=escape(message)
+    )
     return Response(
-        status, content_type, body.encode("utf-8"),
+        status, _HTML, body.encode("utf-8"),
         (("Cache-Control", _NO_STORE),) + headers,
     )
 
@@ -91,6 +152,23 @@ def _etag_matches(header_value: str, etag: str) -> bool:
             candidate = candidate[2:]
         if candidate == etag:
             return True
+    return False
+
+
+def _accepts_gzip(header_value: str) -> bool:
+    """RFC 9110 ``Accept-Encoding``: a ``gzip`` coding listed with q > 0."""
+    for entry in header_value.split(","):
+        coding, *params = entry.split(";")
+        if coding.strip().lower() != "gzip":
+            continue
+        for param in params:
+            name, __, value = param.partition("=")
+            if name.strip().lower() == "q":
+                try:
+                    return float(value) > 0
+                except ValueError:
+                    return False
+        return True
     return False
 
 
@@ -248,7 +326,7 @@ class ArtifactServer:
             self._count("not_modified")
             return Response(304, artifact.content_type, b"", base_headers)
         body = artifact.body
-        if "gzip" in headers.get("accept-encoding", ""):
+        if _accepts_gzip(headers.get("accept-encoding", "")):
             body = artifact.gzipped
             base_headers += (("Content-Encoding", "gzip"),)
         return Response(200, artifact.content_type, body, base_headers)

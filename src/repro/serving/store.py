@@ -33,23 +33,39 @@ import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
+from xml.sax.saxutils import escape
 
 from ..checks import effectaudit as _effectaudit
 from ..checks import lockdep as _lockdep
 from ..core.engine import Indice
+from ..core.report import generate_report
 from ..faults.plan import SERVE_REQUEST, FaultInjector
 from ..geo import geojson
 from ..query.stakeholders import Stakeholder
-from ..serve import _HTML, render_dashboard, render_index, render_report
 
 __all__ = [
     "Artifact",
     "ArtifactStore",
     "build_store",
+    "render_dashboard",
+    "render_index",
     "render_points_geojson",
+    "render_report",
 ]
 
+_HTML = "text/html; charset=utf-8"
 _GEOJSON = "application/geo+json"
+
+_INDEX_TEMPLATE = """<!DOCTYPE html><html><head><meta charset='utf-8'>
+<title>INDICE</title><style>
+body {{ font-family: sans-serif; margin: 40px; color: #1c2733; }}
+a {{ color: #225588; }} li {{ margin: 6px 0; }}
+</style></head><body>
+<h1>INDICE — {city}</h1>
+<p>{n_rows} certificates analyzed. Pick a view:</p>
+<ul>{links}</ul>
+<p><a href="/report">Plain-language analysis report</a></p>
+</body></html>"""
 
 
 @dataclass(frozen=True)
@@ -186,6 +202,41 @@ class ArtifactStore:
 
 
 # -- engine-backed renderers --------------------------------------------------
+#
+# Pure functions of an analyzed engine.  They stay module-level names
+# that build_store's thunks look up at call time, so a wrapper installed
+# on this module (a tracer, a test double) sees every render.
+
+
+def render_index(engine: Indice) -> str:
+    """The index page linking every stakeholder dashboard."""
+    links = "".join(
+        f'<li><a href="/dashboard/{s.value}">'
+        f"{escape(s.value.replace('_', ' ').title())} dashboard</a></li>"
+        for s in Stakeholder
+    )
+    return _INDEX_TEMPLATE.format(
+        city=escape(engine.config.city),
+        n_rows=engine._require_analyzed().table.n_rows,
+        links=links,
+    )
+
+
+def render_dashboard(engine: Indice, stakeholder: Stakeholder) -> str:
+    """The navigable multi-zoom dashboard of one stakeholder."""
+    return engine.build_navigable_dashboard(stakeholder).to_html()
+
+
+def render_report(engine: Indice) -> str:
+    """The plain-language analysis report as a standalone page."""
+    markdown = generate_report(engine)
+    return (
+        "<!DOCTYPE html><html><head><meta charset='utf-8'>"
+        "<title>INDICE report</title></head><body>"
+        f"<pre style='font-family: sans-serif; white-space: pre-wrap; "
+        f"max-width: 80ch; margin: 40px auto;'>{escape(markdown)}</pre>"
+        "</body></html>"
+    )
 
 
 def render_points_geojson(engine: Indice) -> str:

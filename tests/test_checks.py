@@ -108,14 +108,14 @@ class TestSelfAnalysis:
         assert not result.errors
         # the scan really covered the project, analyzer included
         assert result.n_files > 60
-        # the documented intentional sites (serve.py catch-all 500,
-        # serving/server.py catch-all 500 + pooled-worker survival,
-        # perf/cache.py corrupt-entry-as-miss, checks/cache.py corrupt
+        # the documented intentional sites (serving/server.py catch-all
+        # 500 + pooled-worker survival, perf/cache.py corrupt-entry-as-miss,
+        # checks/cache.py corrupt
         # analysis cache, checks/cli.py crash-to-exit-2 boundary,
         # serving/store.py sanctioned coalescing render under the
         # single-flight lock, checks/lockdep.py forwarding-proxy
         # acquire + __enter__) are pragma'd, not invisible
-        assert result.n_suppressed == 9
+        assert result.n_suppressed == 8
 
     def test_checker_analyzes_itself(self):
         result = Checker().run([SRC / "checks"])
@@ -286,6 +286,28 @@ class TestReproCheckSubcommand:
         bad = str(FIXTURES / "det001_bad.py")
         assert repro_main(["check", bad, "--select", "DET001"]) == 1
         assert "DET001" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--list-rules"],
+            [str(FIXTURES / "det001_bad.py"), "--format", "json"],
+        ],
+        ids=["list-rules", "format-json"],
+    )
+    def test_prints_what_python_m_repro_checks_prints(self, args, capsys):
+        import os
+        import subprocess
+        import sys
+
+        code = repro_main(["check", *args])
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.checks", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert capsys.readouterr().out == proc.stdout
+        assert code == proc.returncode
 
 
 class TestRuleMetadata:

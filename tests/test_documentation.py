@@ -28,6 +28,7 @@ PACKAGES = [
     "repro.perf",
     "repro.faults",
     "repro.checks",
+    "repro.serving",
 ]
 
 

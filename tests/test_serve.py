@@ -1,14 +1,20 @@
-"""Tests for the dashboard HTTP server (routing is pure, no sockets)."""
+"""Tests for the dashboard HTTP surface: routing, error pages, path policy.
+
+Routing is exercised socket-free through :meth:`ArtifactServer.respond`;
+the socket cases run the real pooled handler via
+:meth:`ArtifactServer.serving`.
+"""
 
 import pytest
 
 from repro import Indice, IndiceConfig, Stakeholder
 from repro.dataset import SyntheticConfig, generate_epc_collection
-from repro.serve import DashboardServer, write_payload
+from repro.serving import ArtifactServer, build_store
+from repro.serving.server import write_payload
 
 
 @pytest.fixture(scope="module")
-def server():
+def engine():
     collection = generate_epc_collection(SyntheticConfig(n_certificates=1000, seed=77))
     engine = Indice(
         collection,
@@ -16,64 +22,67 @@ def server():
     )
     engine.preprocess()
     engine.analyze()
-    return DashboardServer(engine)
+    return engine
+
+
+@pytest.fixture(scope="module")
+def server(engine):
+    return ArtifactServer(build_store(engine))
+
+
+def get(server, path, headers=None):
+    """``(status, content_type, decoded body)`` of one socket-free GET."""
+    response = server.respond("GET", path, headers)
+    return response.status, response.content_type, response.body.decode("utf-8")
 
 
 class TestRouting:
     def test_index_links_all_stakeholders(self, server):
-        status, content_type, body = server.route("/")
+        status, content_type, body = get(server, "/")
         assert status == 200
         assert "text/html" in content_type
         for s in Stakeholder:
             assert f"/dashboard/{s.value}" in body
 
     def test_dashboard_route(self, server):
-        status, __, body = server.route("/dashboard/citizen")
+        status, __, body = get(server, "/dashboard/citizen")
         assert status == 200
         assert body.startswith("<!DOCTYPE html>")
         assert "showTab" in body  # the navigable dashboard
 
     def test_trailing_slash_normalized(self, server):
-        status, __, ___ = server.route("/dashboard/citizen/")
+        status, __, ___ = get(server, "/dashboard/citizen/")
         assert status == 200
 
     def test_unknown_stakeholder_404(self, server):
-        status, __, body = server.route("/dashboard/alien")
+        status, __, body = get(server, "/dashboard/alien")
         assert status == 404
         assert "alien" in body
 
     def test_unknown_path_404(self, server):
-        status, __, ___ = server.route("/nope")
+        status, __, ___ = get(server, "/nope")
         assert status == 404
 
     def test_report_route(self, server):
-        status, __, body = server.route("/report")
+        status, __, body = get(server, "/report")
         assert status == 200
         assert "INDICE analysis report" in body
 
     def test_dashboard_cached(self, server):
-        first = server.route("/dashboard/energy_scientist")[2]
-        second = server.route("/dashboard/energy_scientist")[2]
-        assert first is second  # same cached object, not re-rendered
-
-    def test_request_before_analysis_is_503_page(self):
-        # a warming-up deployment answers "not ready", it does not crash
-        collection = generate_epc_collection(SyntheticConfig(n_certificates=100, seed=1))
-        server = DashboardServer(Indice(collection))
-        for path in ("/", "/report", "/dashboard/citizen"):
-            status, content_type, body = server.route(path)
-            assert status == 503
-            assert "text/html" in content_type
-            assert body.startswith("<!DOCTYPE html>")
-            assert "not ready" in body.lower()
-            assert "Traceback" not in body
+        # a second request renders nothing: it is served the stored bytes
+        first = server.respond("GET", "/dashboard/energy_scientist")
+        renders = server.store.total_renders
+        second = server.respond("GET", "/dashboard/energy_scientist")
+        assert server.store.total_renders == renders
+        assert second.status == first.status == 200
+        assert second.body == first.body
 
 
 class TestErrorPages:
     """Every failure mode returns a well-formed page, never a traceback."""
 
     def test_unknown_stakeholder_is_html_error_page(self, server):
-        status, content_type, body = server.route("/dashboard/alien")
+        status, content_type, body = get(server, "/dashboard/alien")
         assert status == 404
         assert "text/html" in content_type
         assert body.startswith("<!DOCTYPE html>")
@@ -91,19 +100,20 @@ class TestErrorPages:
         ],
     )
     def test_malformed_path_is_400_page(self, server, path):
-        status, content_type, body = server.route(path)
+        status, content_type, body = get(server, path)
         assert status == 400
         assert "text/html" in content_type
         assert body.startswith("<!DOCTYPE html>")
         assert "Traceback" not in body
 
-    def test_internal_error_is_500_page_without_traceback(self, server, monkeypatch):
+    def test_internal_error_is_500_page_without_traceback(self, engine, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("rendering exploded")
 
-        monkeypatch.setattr(server._engine, "build_navigable_dashboard", boom)
-        server._cache.pop("dash:citizen", None)
-        status, content_type, body = server.route("/dashboard/citizen")
+        monkeypatch.setattr(engine, "build_navigable_dashboard", boom)
+        status, content_type, body = get(
+            ArtifactServer(build_store(engine)), "/dashboard/citizen"
+        )
         assert status == 500
         assert "text/html" in content_type
         assert body.startswith("<!DOCTYPE html>")
@@ -111,9 +121,9 @@ class TestErrorPages:
         assert "RuntimeError" in body  # the error *class* is surfaced
 
     def test_error_page_escapes_markup(self, server):
-        # hostile names render inert: route rejects raw <>, and the
+        # hostile names render inert: routing rejects raw <>, and the
         # escaped-name page never reflects raw markup back
-        status, __, body = server.route("/dashboard/%3Cimg%20src=x%3E")
+        status, __, body = get(server, "/dashboard/%3Cimg%20src=x%3E")
         assert status == 404
         assert "<img" not in body
 
@@ -153,61 +163,46 @@ class TestHostilePathMatrix:
 
     @pytest.mark.parametrize("path,expected", MATRIX, ids=[p for p, __ in MATRIX])
     def test_status(self, server, path, expected):
-        status, content_type, body = server.route(path)
+        status, content_type, body = get(server, path)
         assert status == expected
         assert "text/html" in content_type
         assert "Traceback" not in body
 
 
-class TestEndToEndSocket:
-    def test_real_http_roundtrip(self, server):
-        """One real request through http.server to cover the socket layer."""
-        import threading
-        import urllib.request
-        from http.server import BaseHTTPRequestHandler, HTTPServer
+class TestGzipNegotiation:
+    """gzip only for a ``gzip`` coding listed with q > 0 (RFC 9110)."""
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):
-                status, content_type, body = server.route(self.path)
-                payload = body.encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        httpd = HTTPServer(("127.0.0.1", 0), Handler)
-        port = httpd.server_address[1]
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with urllib.request.urlopen(f"http://127.0.0.1:{port}/") as response:
-                assert response.status == 200
-                assert b"INDICE" in response.read()
-        finally:
-            httpd.shutdown()
+    @pytest.mark.parametrize(
+        "accept,gzipped",
+        [
+            ("gzip", True),
+            ("GZIP", True),
+            ("deflate, gzip", True),
+            ("gzip;q=0.5", True),
+            ("identity, gzip; Q=1.0", True),
+            ("gzip;q=0", False),
+            ("identity, gzip;q=0", False),
+            ("gzip; q=0.000", False),
+            ("gzip;q=bogus", False),
+            ("*", False),
+            ("x-gzip", False),
+            ("identity", False),
+            ("", False),
+        ],
+    )
+    def test_gzip_only_when_listed_with_positive_q(self, server, accept, gzipped):
+        response = server.respond("GET", "/report", {"Accept-Encoding": accept})
+        artifact = server.store.get("/report")
+        assert response.status == 200
+        assert (response.header("Content-Encoding") == "gzip") is gzipped
+        assert response.body == (artifact.gzipped if gzipped else artifact.body)
 
 
 @pytest.fixture()
 def live_server(server):
-    """The real handler (``DashboardServer.handler_class``) on a socket."""
-    import threading
-    from http.server import HTTPServer
-
-    handler = server.handler_class()
-    handler.log_message = lambda *args, **kwargs: None
-    httpd = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
+    """The real pooled handler (``ArtifactServer.serving``) on a socket."""
+    with server.serving() as (httpd, __):
         yield httpd.server_address[1]
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(timeout=5.0)
 
 
 class TestSocketRegressions:
@@ -236,7 +231,9 @@ class TestSocketRegressions:
         assert head_body == b""  # HEAD carries headers only
         # ...but advertises the same length the GET actually delivered
         assert head_headers["Content-Length"] == str(len(get_body))
-        assert head_headers["Content-Type"] == get_headers["Content-Type"]
+        get_headers.pop("Date")
+        head_headers.pop("Date")
+        assert head_headers == get_headers
 
     def test_head_error_page_has_no_body(self, live_server):
         status, headers, body = self._request(live_server, "HEAD", "/nope")

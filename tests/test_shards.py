@@ -289,9 +289,9 @@ class TestMergeSpillReads:
     def test_merge_opens_each_spill_once_per_column_pass(
         self, collection, monolithic, tmp_path, monkeypatch
     ):
-        """The merge opens a spill once per shard for each univariate
-        attribute, once per feature, and once more to build the merged
-        table — not once per (column, shard) pair of the table build."""
+        """The merge opens each spill once for the univariate columns,
+        once for the kept rows' features and once for the merged table —
+        not once per (column, shard) pair."""
         opens = []
         original = SpillFile.open.__func__
 
@@ -304,10 +304,7 @@ class TestMergeSpillReads:
         config = _config(spill_dir=str(tmp_path / "spills"))
         outcome = Indice(plan.collection, config).run_sharded(plan)
         assert outcome.preprocessing.table == monolithic[0].table
-        univariate = len(config.features) + 1  # the features plus the response
-        bound = (univariate + len(config.features) + 1) * len(plan.shards)
-        assert len(plan.shards) > config.max_resident_shards
-        assert 0 < len(opens) <= bound
+        assert 0 < len(opens) <= 3 * len(plan.shards)
 
 
 # ---------------------------------------------------------------------------
