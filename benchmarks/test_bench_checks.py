@@ -76,8 +76,7 @@ def test_a11_full_sweep_under_budget(benchmark):
             f"findings       {len(result.findings)} "
             f"({result.n_suppressed} pragma-suppressed)",
             "",
-            "the sweep includes the cross-file contract rules (CACHE001",
-            "fingerprint coverage, FAULT001 site parity) and the runtime",
-            "cross-check import of the installed IndiceConfig.",
+            "the sweep includes the cross-file contract rules (FAULT001",
+            "site parity, the COL*/PAR*/IMP001 project-index rules).",
         ],
     )

@@ -2,16 +2,17 @@
 
 The reproduction's value rests on contracts that code review alone
 cannot hold: every analytic stage is **deterministic** (seeded,
-replayable — the paper's INDICE pipeline end-to-end), every stage-cache
-fingerprint **covers exactly** the config fields that affect outcomes
-(PR 1), every failure either recovers **bit-identically or logs a
-degradation** (PR 2), and — because the pipeline is a fixed chain of
-stages — the **cross-module contracts** hold: columns flow schema →
-stages → dashboards, state crosses the ``ParallelMap`` process boundary
-only via ``initializer``/``initargs``, config fields and CLI flags stay
-in lockstep, and the module graph stays acyclic.  This package walks
-the project's own AST (with a content-hash incremental cache, see
-:mod:`.cache`) and fails the build when any of them drifts:
+replayable — the paper's INDICE pipeline end-to-end), every failure
+either recovers **bit-identically or logs a degradation**, and — because
+the pipeline is a fixed chain of stages — the **cross-module contracts**
+hold: columns flow schema → stages → dashboards, state crosses the
+``ParallelMap`` process boundary only via ``initializer``/``initargs``,
+and the module graph stays acyclic.  (That stage-cache fingerprints
+cover exactly the config fields that affect outcomes, and that the CLI
+flags match the config, is structural: each ``IndiceConfig`` field
+declares its stages and flag once, see :mod:`repro.core.config`.)  This
+package walks the project's own AST (with a content-hash incremental
+cache, see :mod:`.cache`) and fails the build when any of them drifts:
 
 =========  ===========================  =========================================
 code       name                         contract
@@ -19,8 +20,6 @@ code       name                         contract
 DET001     unseeded-rng                 determinism: no hidden global RNG state
 DET002     wall-clock                   determinism: no entropy/wall-clock inputs
 DET003     unordered-iteration          determinism: no hash-order in outputs
-CACHE001   cache-fingerprint-coverage   cache: config fields fingerprinted or
-                                        declared perf-only — no silent drift
 FAULT001   fault-site-parity            faults: registered sites <-> inject hooks
 EXC001     silent-broad-except          faults: recover loudly or re-raise
 MUT001     mutable-default              determinism: no cross-call shared state
@@ -31,7 +30,6 @@ COL003     spec-references-unknown-col  lineage: specs only name schema columns
 PAR001     unpicklable-or-stale-capture fork-safety: workers pickle cleanly and
                                         receive state via initializer/initargs
 PAR002     worker-side-mutation         fork-safety: workers return, never write
-CFG001     config-cli-parity            config: fields <-> argparse destinations
 IMP001     import-cycle                 architecture: the module graph is a DAG
 LOCK001    acquire-without-release      resources: every acquire has a provable
                                         release on all paths

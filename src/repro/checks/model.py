@@ -1,13 +1,12 @@
 """Core model of the invariant linter: findings, rules and the registry.
 
 A :class:`Rule` encodes one machine-checkable contract of the pipeline
-(determinism, cache-fingerprint coverage, fault-site parity, exception
-hygiene).  Rules are registered by decorating the class with
-:func:`register`; :func:`all_rules` instantiates every registered rule in
-stable (code-sorted) order.  A rule inspects parsed source files and
-yields :class:`Finding` objects — it never mutates anything and never
-imports the code under analysis unless explicitly documented (CACHE001's
-runtime cross-check is the one exception).
+(determinism, fault-site parity, exception hygiene).  Rules are
+registered by decorating the class with :func:`register`;
+:func:`all_rules` instantiates every registered rule in stable
+(code-sorted) order.  A rule inspects parsed source files and yields
+:class:`Finding` objects — it never mutates anything and never imports
+the code under analysis.
 """
 
 from __future__ import annotations

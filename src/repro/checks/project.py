@@ -1,15 +1,14 @@
 """Whole-program view: module naming, facts, import graph, symbol table.
 
 Per-file rules prove local invariants; the pipeline's *contracts between
-modules* (column lineage, fork-safety of parallel workers, config/CLI
-parity, import acyclicity) need a project-wide model.  This module builds
-it in two layers:
+modules* (column lineage, fork-safety of parallel workers, import
+acyclicity) need a project-wide model.  This module builds it in two
+layers:
 
 1. :func:`extract_facts` walks one parsed file and distils everything the
    cross-module rules need into a plain JSON-serializable dict — imports,
-   module-level symbols, dataclass fields, fault-hook call sites,
-   per-function global reads/mutations and local call edges, executor
-   submissions, config attribute writes, argparse destinations and the
+   module-level symbols, fault-hook call sites, per-function global
+   reads/mutations and local call edges, executor submissions and the
    column-lineage sites of :mod:`.lineage`.  Facts never hold AST nodes,
    so they can be cached per file (content-hash keyed, see
    :mod:`.cache`) and a warm incremental run re-parses nothing.
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 #: Bump when the facts schema changes so cached summaries invalidate.
-FACTS_VERSION = 4
+FACTS_VERSION = 5
 
 #: Attribute methods whose first argument names a fault-injection site.
 _HOOK_METHODS = ("arrive", "fire")
@@ -75,19 +74,6 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts) if parts else path.stem
 
 
-def _annotation_names(node: ast.expr | None) -> set[str]:
-    """Every plain name appearing in an annotation (handles ``X | None``)."""
-    if node is None:
-        return set()
-    out: set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out.add(sub.value)  # string annotation "IndiceConfig"
-    return out
-
-
 def _contains_call_to(node: ast.expr, names: frozenset[str] | set[str]) -> bool:
     """Whether any sub-expression calls one of *names* (``X()`` / ``m.X()``)."""
     for sub in ast.walk(node):
@@ -105,39 +91,6 @@ def _string_or_none(node: ast.expr) -> str | None:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
-
-
-def _default_kind(node: ast.expr | None) -> str:
-    """Classify a dataclass field default: literal, factory or none."""
-    if node is None:
-        return "none"
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
-        if name == "field":
-            for kw in node.keywords:
-                if kw.arg == "default_factory":
-                    return "factory"
-                if kw.arg == "default":
-                    return _default_kind(kw.value)
-            return "factory"
-        return "factory"
-    if isinstance(node, ast.Constant):
-        return "literal"
-    return "literal" if isinstance(node, (ast.Tuple, ast.UnaryOp)) else "factory"
-
-
-def _is_dataclass_def(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = target.id if isinstance(target, ast.Name) else (
-            target.attr if isinstance(target, ast.Attribute) else None
-        )
-        if name == "dataclass":
-            return True
-    return False
 
 
 class _FunctionFacts(ast.NodeVisitor):
@@ -252,26 +205,6 @@ class _FunctionFacts(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _argparse_dest(call: ast.Call) -> str | None:
-    """The namespace destination of one ``add_argument`` call."""
-    for kw in call.keywords:
-        if kw.arg == "dest":
-            return _string_or_none(kw.value)
-    longest: str | None = None
-    positional: str | None = None
-    for arg in call.args:
-        text = _string_or_none(arg)
-        if text is None:
-            continue
-        if text.startswith("--"):
-            candidate = text[2:].replace("-", "_")
-            if longest is None or len(candidate) > len(longest):
-                longest = candidate
-        elif not text.startswith("-"):
-            positional = text
-    return longest or positional
-
-
 def extract_facts(tree: ast.Module) -> dict:
     """The JSON-serializable whole-program facts of one parsed file."""
     facts: dict = {
@@ -280,15 +213,10 @@ def extract_facts(tree: ast.Module) -> dict:
         "symbols": {},
         "string_consts": {},
         "string_tuples": {},
-        "dataclasses": {},
         "hook_calls": [],
         "functions": {},
         "map_calls": [],
         "map_table_calls": [],
-        "config_writes": [],
-        "config_ctor_kwargs": [],
-        "argparse_dests": [],
-        "args_reads": [],
         "lineage": extract_lineage(tree),
         "concurrency": extract_concurrency(tree),
         "effects": extract_effects(tree),
@@ -324,32 +252,12 @@ def extract_facts(tree: ast.Module) -> dict:
 
     walk_exec(tree.body)
 
-    # -- module-level symbols, constants, dataclasses ----------------------
+    # -- module-level symbols and constants --------------------------------
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             facts["symbols"][node.name] = {"kind": "function", "lineno": node.lineno}
         elif isinstance(node, ast.ClassDef):
             facts["symbols"][node.name] = {"kind": "class", "lineno": node.lineno}
-            if _is_dataclass_def(node):
-                fields = []
-                for stmt in node.body:
-                    if not isinstance(stmt, ast.AnnAssign):
-                        continue
-                    if not isinstance(stmt.target, ast.Name):
-                        continue
-                    if "ClassVar" in ast.unparse(stmt.annotation):
-                        continue
-                    fields.append(
-                        [
-                            stmt.target.id,
-                            stmt.lineno,
-                            _default_kind(stmt.value),
-                        ]
-                    )
-                facts["dataclasses"][node.name] = {
-                    "lineno": node.lineno,
-                    "fields": fields,
-                }
         elif isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if not isinstance(target, ast.Name):
@@ -413,7 +321,6 @@ def extract_facts(tree: ast.Module) -> dict:
         )
 
     _extract_executor_facts(tree, facts)
-    _extract_config_facts(tree, facts)
     return facts
 
 
@@ -503,95 +410,6 @@ def _extract_executor_facts(tree: ast.Module, facts: dict) -> None:
         facts[
             "map_table_calls" if func.attr == "map_table" else "map_calls"
         ].append(entry)
-
-
-#: The config dataclass whose writes / CLI parity CFG001 proves.
-_CONFIG_CLASS = "IndiceConfig"
-
-
-def _extract_config_facts(tree: ast.Module, facts: dict) -> None:
-    """Writes to config objects, ctor keywords, argparse dests, args reads."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name == "add_argument":
-                dest = _argparse_dest(node)
-                if dest is not None:
-                    facts["argparse_dests"].append(dest)
-            elif name == _CONFIG_CLASS:
-                for kw in node.keywords:
-                    if kw.arg is not None:
-                        facts["config_ctor_kwargs"].append(
-                            [kw.arg, node.lineno, node.col_offset]
-                        )
-
-    def config_bound_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-        bound: set[str] = set()
-        for arg in func.args.args + func.args.kwonlyargs:
-            if _CONFIG_CLASS in _annotation_names(arg.annotation):
-                bound.add(arg.arg)
-        for stmt in ast.walk(func):
-            if isinstance(stmt, ast.Assign) and _contains_call_to(
-                stmt.value, {_CONFIG_CLASS}
-            ):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
-                    elif isinstance(target, ast.Attribute) and isinstance(
-                        target.value, ast.Name
-                    ):
-                        bound.add(f"{target.value.id}.{target.attr}")
-        return bound
-
-    def record_writes(scope: ast.AST, bound: set[str]) -> bool:
-        """Record config attribute writes under *scope*; True when any."""
-        wrote = False
-        for stmt in ast.walk(scope):
-            if not isinstance(stmt, (ast.Assign, ast.AugAssign)):
-                continue
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            for target in targets:
-                if not isinstance(target, ast.Attribute):
-                    continue
-                base = target.value
-                base_name = None
-                if isinstance(base, ast.Name):
-                    base_name = base.id
-                elif isinstance(base, ast.Attribute) and isinstance(
-                    base.value, ast.Name
-                ):
-                    base_name = f"{base.value.id}.{base.attr}"
-                if base_name in bound:
-                    facts["config_writes"].append(
-                        [target.attr, target.lineno, target.col_offset]
-                    )
-                    wrote = True
-        return wrote
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == _CONFIG_CLASS:
-            # inside the dataclass itself, ``self`` is a config instance
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    record_writes(sub, {"self"})
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            bound = config_bound_names(node)
-            if not bound:
-                continue
-            if record_writes(node, bound):
-                for sub in ast.walk(node):
-                    if (
-                        isinstance(sub, ast.Attribute)
-                        and isinstance(sub.ctx, ast.Load)
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "args"
-                    ):
-                        facts["args_reads"].append(
-                            [sub.attr, sub.lineno, sub.col_offset]
-                        )
 
 
 @dataclass

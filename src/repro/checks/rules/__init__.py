@@ -4,11 +4,9 @@ Modules group rules by the contract they defend:
 
 * :mod:`.determinism` — DET001 (unseeded RNG), DET002 (wall clock /
   entropy), DET003 (unordered iteration escaping into results);
-* :mod:`.contracts` — CACHE001 (stage-cache fingerprint coverage),
-  FAULT001 (fault-site registry/hook parity);
+* :mod:`.contracts` — FAULT001 (fault-site registry/hook parity);
 * :mod:`.crossmodule` — COL001/COL002/COL003 (column lineage),
-  PAR001/PAR002 (ParallelMap fork-safety), CFG001 (IndiceConfig ↔ CLI
-  parity), IMP001 (import cycles);
+  PAR001/PAR002 (ParallelMap fork-safety), IMP001 (import cycles);
 * :mod:`.hygiene` — EXC001 (silent broad except), MUT001 (mutable
   defaults), FLOAT001 (float equality);
 * :mod:`.resources` — LOCK001 (acquire without provable release),

@@ -1,19 +1,14 @@
-"""Project-contract rules: cache fingerprints and fault-site parity.
+"""Project-contract rule: fault-site parity.
 
-These rules are cross-file and *semantic*: they reconstruct the
-pipeline's own registries from the code under analysis and diff them.
-Both run against the :class:`~repro.checks.project.ProjectIndex` facts
-(not the ASTs), so a warm incremental run checks them without re-parsing
-a single unchanged file.
+The rule is cross-file and *semantic*: it reconstructs the pipeline's
+fault-site registry from the code under analysis and diffs it against
+the hook sites.  It runs against the
+:class:`~repro.checks.project.ProjectIndex` facts (not the ASTs), so a
+warm incremental run checks it without re-parsing a single unchanged
+file.  (Stage-cache fingerprint coverage needs no rule: every
+``IndiceConfig`` field declares its stages, and an untagged field fails
+at import — see :mod:`repro.core.config`.)
 
-* **CACHE001** — every ``IndiceConfig`` field must be either fingerprinted
-  into a stage-cache key (``_PREPROCESS_FIELDS`` / ``_ANALYZE_FIELDS`` in
-  the engine) or explicitly declared outcome-neutral
-  (``PERF_ONLY_FIELDS`` in the cache).  A field in neither set is silent
-  fingerprint drift: changing it would reuse stale cache entries.  When
-  the scanned files are the real installed modules, the rule additionally
-  imports them and diffs the static view against the runtime dataclass,
-  so dynamically injected fields cannot hide from the linter.
 * **FAULT001** — every site registered in ``KNOWN_SITES`` must have an
   ``injector.arrive(SITE)`` / ``injector.fire(SITE)`` call site, and every
   call site must use a registered site.  A registered-but-unhooked site is
@@ -30,144 +25,7 @@ from ..model import Finding, Rule, register
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
     from ..project import FileSummary, ProjectIndex
 
-__all__ = ["CacheFingerprintCoverage", "FaultSiteParity"]
-
-#: The engine tuples whose union must cover the outcome-affecting fields.
-FINGERPRINT_TUPLES = ("_PREPROCESS_FIELDS", "_ANALYZE_FIELDS")
-#: The cache tuple naming the outcome-neutral fields.
-EXCLUSION_TUPLE = "PERF_ONLY_FIELDS"
-
-
-@register
-class CacheFingerprintCoverage(Rule):
-    """CACHE001 — IndiceConfig fields vs. StageCache fingerprint tuples."""
-
-    code = "CACHE001"
-    name = "cache-fingerprint-coverage"
-    rationale = (
-        "an IndiceConfig field outside both the stage-cache fingerprints "
-        "and PERF_ONLY_FIELDS means a config change can silently reuse "
-        "stale cached outcomes"
-    )
-
-    #: Name of the config dataclass whose fields must be covered.
-    config_class = "IndiceConfig"
-
-    def check_index(self, index: "ProjectIndex") -> Iterator[Finding]:
-        """Diff the dataclass fields against the fingerprint tuples."""
-        config_summary: "FileSummary | None" = None
-        fields: list = []
-        for summary in index.summaries:
-            entry = summary.facts.get("dataclasses", {}).get(self.config_class)
-            if entry is not None:
-                config_summary = summary
-                fields = entry["fields"]
-                break
-        if config_summary is None:
-            return  # nothing to check in this file set
-
-        #: tuple name -> (owning summary, lineno, values, has unresolved refs)
-        fingerprinted: dict[str, tuple] = {}
-        wanted = FINGERPRINT_TUPLES + (EXCLUSION_TUPLE,)
-        for summary in index.summaries:
-            tuples = summary.facts.get("string_tuples", {})
-            for name in wanted:
-                entry = tuples.get(name)
-                if entry is not None:
-                    fingerprinted[name] = (
-                        summary,
-                        entry["lineno"],
-                        tuple(entry["values"]),
-                        bool(entry.get("name_refs")),
-                    )
-        if not fingerprinted:
-            return  # config class scanned without the engine/cache modules
-
-        field_names = {name for name, __, ___ in fields}
-        covered: set[str] = set()
-        for __, (___, ____, values, _____) in sorted(fingerprinted.items()):
-            covered |= set(values)
-
-        for name, lineno, __ in fields:
-            if name not in covered:
-                yield Finding(
-                    config_summary.display, lineno, 0, self.code,
-                    f"{self.config_class}.{name} is neither fingerprinted "
-                    f"({' / '.join(FINGERPRINT_TUPLES)}) nor declared "
-                    f"outcome-neutral ({EXCLUSION_TUPLE}); a change to it "
-                    "would silently reuse stale stage-cache entries",
-                )
-        for tuple_name in sorted(fingerprinted):
-            summary, lineno, values, __ = fingerprinted[tuple_name]
-            for value in values:
-                if value not in field_names:
-                    yield Finding(
-                        summary.display, lineno, 0, self.code,
-                        f"'{value}' in {tuple_name} is not a field of "
-                        f"{self.config_class} (stale or misspelled entry)",
-                    )
-
-        yield from self._runtime_cross_check(
-            config_summary, field_names, fingerprinted
-        )
-
-    def _runtime_cross_check(
-        self,
-        config_summary: "FileSummary",
-        static_fields: set[str],
-        fingerprinted: dict[str, tuple],
-    ) -> Iterator[Finding]:
-        """Import the real modules and diff runtime vs. static views.
-
-        Only runs when the scanned config file *is* the installed
-        ``repro.core.config`` — fixture corpora never trigger an import.
-        """
-        import dataclasses
-        from pathlib import Path
-
-        try:
-            from repro.core.config import IndiceConfig
-            from repro.core.engine import _ANALYZE_FIELDS, _PREPROCESS_FIELDS
-            from repro.perf.cache import PERF_ONLY_FIELDS
-        except ImportError:
-            return
-        try:
-            import repro.core.config as _config_module
-
-            if (
-                Path(_config_module.__file__).resolve()
-                != config_summary.path.resolve()
-            ):
-                return
-        except (OSError, TypeError):
-            return
-
-        runtime_fields = {f.name for f in dataclasses.fields(IndiceConfig)}
-        for name in sorted(runtime_fields - static_fields):
-            yield Finding(
-                config_summary.display, 1, 0, self.code,
-                f"runtime field {self.config_class}.{name} is invisible to "
-                "static analysis (added dynamically?); declare it in the "
-                "class body so fingerprint coverage can be proven",
-            )
-        runtime_tuples = {
-            "_PREPROCESS_FIELDS": _PREPROCESS_FIELDS,
-            "_ANALYZE_FIELDS": _ANALYZE_FIELDS,
-            "PERF_ONLY_FIELDS": PERF_ONLY_FIELDS,
-        }
-        for tuple_name in sorted(runtime_tuples):
-            if tuple_name not in fingerprinted:
-                continue
-            summary, lineno, static_values, has_refs = fingerprinted[tuple_name]
-            if has_refs:
-                continue  # constant-name entries resolve elsewhere
-            if tuple(runtime_tuples[tuple_name]) != static_values:
-                yield Finding(
-                    summary.display, lineno, 0, self.code,
-                    f"{tuple_name} at runtime differs from its source "
-                    "literal (computed or patched?); keep it a literal "
-                    "tuple of field names so coverage can be proven",
-                )
+__all__ = ["FaultSiteParity"]
 
 
 @register

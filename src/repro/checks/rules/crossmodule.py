@@ -1,6 +1,6 @@
-"""Cross-module contract rules: lineage, fork-safety, config drift, cycles.
+"""Cross-module contract rules: lineage, fork-safety, cycles.
 
-All seven rules run against the :class:`~repro.checks.project.ProjectIndex`
+All six rules run against the :class:`~repro.checks.project.ProjectIndex`
 facts, so they see the whole program at once and cost nothing extra on a
 warm incremental run:
 
@@ -19,11 +19,6 @@ warm incremental run:
   a worker writing one mutates a copy that is thrown away (PAR002).
   The sanctioned pattern — an ``initializer=`` callback populating a
   module global per worker — is recognized and exempt.
-* **CFG001** — ``IndiceConfig`` ↔ CLI parity, extending CACHE001's
-  registry-diff technique to the argparse layer: attribute writes must
-  hit declared fields, ``args.X`` reads while wiring a config must match
-  a declared argparse destination, and every literal-default field named
-  in ``PERF_ONLY_FIELDS`` must actually be wired from the CLI.
 * **IMP001** — import acyclicity among the analyzed modules.  A cycle
   makes import order load-bearing and breaks partial re-use of the
   pipeline's layers; function-scope (lazy) imports are deliberately not
@@ -35,10 +30,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from ..model import Finding, Rule, register
-from .contracts import EXCLUSION_TUPLE
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
-    from ..project import FileSummary, ProjectIndex
+    from ..project import ProjectIndex
 
 __all__ = [
     "ColumnReadWithoutProducer",
@@ -46,7 +40,6 @@ __all__ = [
     "SpecReferencesUnknownColumn",
     "UnpicklableOrStaleCapture",
     "WorkerSideMutation",
-    "ConfigCliParity",
     "ImportCycle",
 ]
 
@@ -267,90 +260,6 @@ class WorkerSideMutation(Rule):
                         "process's copy and is lost — return the value to "
                         "the parent instead",
                     )
-
-
-@register
-class ConfigCliParity(Rule):
-    """CFG001 — IndiceConfig fields and CLI flags must stay in lockstep."""
-
-    code = "CFG001"
-    name = "config-cli-parity"
-    rationale = (
-        "a config attribute write to an undeclared field, an args read "
-        "with no argparse destination, or a perf-only field the CLI never "
-        "wires is config drift: the flag and the behavior silently diverge"
-    )
-
-    config_class = "IndiceConfig"
-
-    def check_index(self, index: "ProjectIndex") -> Iterator[Finding]:
-        """Diff config writes and args reads against fields and dests."""
-        config_summary: "FileSummary | None" = None
-        fields: list = []
-        for summary in index.summaries:
-            entry = summary.facts.get("dataclasses", {}).get(self.config_class)
-            if entry is not None:
-                config_summary, fields = summary, entry["fields"]
-                break
-        if config_summary is None:
-            return  # no config dataclass in this file set
-        field_names = {name for name, __, ___ in fields}
-
-        dests: set[str] = set()
-        for summary in index.summaries:
-            dests.update(summary.facts.get("argparse_dests", ()))
-
-        written: set[str] = set()
-        for summary in index.summaries:
-            for attr, lineno, col in summary.facts.get("config_writes", ()):
-                written.add(attr)
-                if attr not in field_names:
-                    yield Finding(
-                        summary.display, lineno, col, self.code,
-                        f"write to unknown {self.config_class} field "
-                        f"'{attr}' (misspelled or undeclared); dataclass "
-                        "fields are the config contract",
-                    )
-            for attr, lineno, col in summary.facts.get(
-                "config_ctor_kwargs", ()
-            ):
-                if attr not in field_names:
-                    yield Finding(
-                        summary.display, lineno, col, self.code,
-                        f"unknown {self.config_class} constructor keyword "
-                        f"'{attr}'; it would raise TypeError at run time",
-                    )
-            if dests:
-                for attr, lineno, col in summary.facts.get("args_reads", ()):
-                    if attr not in dests:
-                        yield Finding(
-                            summary.display, lineno, col, self.code,
-                            f"args.{attr} is read while wiring "
-                            f"{self.config_class} but no argparse option "
-                            f"declares dest '{attr}'",
-                        )
-
-        if not dests:
-            return  # no CLI in this file set: parity gate is off
-        perf_fields: list[str] = []
-        for summary in index.summaries:
-            entry = summary.facts.get("string_tuples", {}).get(EXCLUSION_TUPLE)
-            if entry is not None:
-                perf_fields = list(entry["values"])
-        literal_defaults = {
-            name for name, __, kind in fields if kind == "literal"
-        }
-        for name in perf_fields:
-            if name in literal_defaults and name not in written:
-                lineno = next(
-                    (ln for fname, ln, __ in fields if fname == name), 1
-                )
-                yield Finding(
-                    config_summary.display, lineno, 0, self.code,
-                    f"perf-only field '{name}' is never written from "
-                    "parsed CLI arguments; the flag and the config have "
-                    "drifted apart",
-                )
 
 
 @register

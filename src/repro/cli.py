@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import Granularity, Indice, IndiceConfig, Stakeholder
 from .core.autoconfig import suggest_config
+from .core.config import CLI_FIELDS
 from .dataset import (
     NoiseConfig,
     SyntheticConfig,
@@ -75,6 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
              "(raises on an un-fingerprinted read; also honored via the "
              "REPRO_AUDIT_EFFECTS environment variable)",
     )
+    run.add_argument(
+        "--shards", default=None, metavar="SCHEME",
+        help="run the pipeline sharded with out-of-core merge: "
+             "'by-district', 'by-zip' or a shard count; results are "
+             "bit-identical to the monolithic path, peak memory is "
+             "bounded by the largest shard (default: monolithic)",
+    )
     _add_perf_arguments(run)
 
     serve = sub.add_parser("serve", help="analyze once, then serve the dashboards over HTTP")
@@ -121,20 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared performance knobs of the pipeline-running commands."""
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the parallel stages "
-             "(1 = serial, 0 = all cores; default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-hash stage cache (always recompute)",
-    )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persist stage-cache entries under DIR (reused across runs)",
-    )
+    """The shared performance knobs of the pipeline-running commands:
+    one flag per :data:`~repro.core.config.CLI_FIELDS` entry, plus the
+    fault plan (an injector, not a config field)."""
+    for spec in CLI_FIELDS:
+        flag, kwargs = spec.metadata["cli"]
+        parser.add_argument(flag, dest=spec.name, default=spec.default, **kwargs)
     parser.add_argument(
         "--fault-plan", default=None, metavar="SPEC",
         help="inject deterministic faults for resilience testing: a spec "
@@ -142,19 +143,6 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
              "(site:kind[@rate][*times][+after], ';'-separated) or "
              "'@plan.json' to load a saved plan; reproduces a chaos run "
              "exactly",
-    )
-    parser.add_argument(
-        "--shards", default=None, metavar="SCHEME",
-        help="run the pipeline sharded with out-of-core merge: "
-             "'by-district', 'by-zip' or a shard count; results are "
-             "bit-identical to the monolithic path, peak memory is "
-             "bounded by the largest shard (default: monolithic)",
-    )
-    parser.add_argument(
-        "--spill-dir", type=Path, default=None, metavar="DIR",
-        help="keep the per-shard columnar spill files under DIR (with "
-             "--cache-dir this makes warm runs skip unchanged shards; "
-             "default: a temporary directory per run)",
     )
 
 
@@ -166,13 +154,10 @@ def _make_injector(args: argparse.Namespace) -> FaultInjector | None:
 
 
 def _apply_perf_arguments(config: IndiceConfig, args: argparse.Namespace) -> IndiceConfig:
-    """Plumb the CLI performance knobs into an :class:`IndiceConfig`."""
-    config.n_jobs = args.jobs
-    config.stage_cache = not args.no_cache
-    config.cache_dir = str(args.cache_dir) if args.cache_dir else None
-    config.shards = args.shards
-    config.spill_dir = str(args.spill_dir) if args.spill_dir else None
-    return config
+    """*config* with the CLI-flagged fields taken from the parsed *args*."""
+    return replace(
+        config, **{spec.name: getattr(args, spec.name) for spec in CLI_FIELDS}
+    )
 
 
 def _make_collection(n: int, seed: int, dirty: bool):

@@ -23,7 +23,7 @@ expert choices (the Section 2.1.2 store) take precedence when available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -31,7 +31,6 @@ from scipy import stats
 from ..dataset.table import ColumnKind, Table
 from ..preprocessing.expert_store import ExpertConfigStore
 from ..preprocessing.outliers import OutlierMethod
-from ..analytics.rules import RuleConstraints
 from .config import IndiceConfig
 
 __all__ = ["AttributeAdvice", "ConfigAdvice", "suggest_config"]
@@ -182,27 +181,11 @@ def suggest_config(
 
     merged_plan = dict(cfg.discretization_plan)
     merged_plan.update(plan)
-    suggested = IndiceConfig(
-        city=cfg.city,
-        building_type=cfg.building_type,
-        features=cfg.features,
-        response=cfg.response,
-        cleaning=cfg.cleaning,
-        geocoder_quota=cfg.geocoder_quota,
+    suggested = replace(
+        cfg,
         outlier_method=dominant,
-        outlier_params=dict(cfg.outlier_params),
-        run_multivariate_outliers=cfg.run_multivariate_outliers,
         k_range=(2, k_hi),
-        kmeans_n_init=cfg.kmeans_n_init,
-        seed=cfg.seed,
         discretization_plan=merged_plan,
-        rule_constraints=RuleConstraints(
-            min_support=min_support,
-            min_confidence=cfg.rule_constraints.min_confidence,
-            min_lift=cfg.rule_constraints.min_lift,
-            min_conviction=cfg.rule_constraints.min_conviction,
-        ),
-        rule_template=cfg.rule_template,
-        correlation_threshold=cfg.correlation_threshold,
+        rule_constraints=replace(cfg.rule_constraints, min_support=min_support),
     )
     return ConfigAdvice(config=suggested, attribute_advice=advice, notes=notes)

@@ -60,42 +60,10 @@ from ..preprocessing.quality import QualityProfile, assess_quality
 from ..query.engine import Query, QueryEngine
 from ..query.predicates import Comparison
 from ..query.stakeholders import Stakeholder, profile_for
-from .config import IndiceConfig
+from .config import ANALYZE_FIELDS, PREPROCESS_FIELDS, IndiceConfig
 from .session import ProvenanceLog
 
 __all__ = ["Indice", "PreprocessingOutcome", "AnalyticsOutcome"]
-
-#: Config fields the preprocessing outcome depends on.  Stage-cache keys
-#: fingerprint only these, so changing an analytics knob (e.g. ``k_range``)
-#: never invalidates a cached preprocessing result — and vice versa.
-#: Perf-only knobs (``n_jobs``, cache settings) appear in neither.
-_PREPROCESS_FIELDS = (
-    "city",
-    "features",
-    "response",
-    "cleaning",
-    "geocoder_quota",
-    "outlier_method",
-    "outlier_params",
-    "outlier_overrides",
-    "run_multivariate_outliers",
-)
-
-#: Config fields the analytics outcome depends on.
-_ANALYZE_FIELDS = (
-    "city",
-    "building_type",
-    "features",
-    "response",
-    "k_range",
-    "kmeans_n_init",
-    "seed",
-    "discretization_plan",
-    "rule_constraints",
-    "rule_template",
-    "correlation_threshold",
-)
-
 
 def _render_panel(add: Callable[[DashboardBuilder], object]) -> Panel:
     """The one panel *add* puts on a fresh :class:`DashboardBuilder`."""
@@ -362,7 +330,7 @@ class Indice:
             cache_key = StageCache.key(
                 "preprocess",
                 fingerprint_table(table),
-                self._config_fingerprint(_PREPROCESS_FIELDS),
+                self._config_fingerprint(PREPROCESS_FIELDS),
             )
             found, cached = self._cache_get("preprocessing", cache_key)
             if found:
@@ -563,7 +531,7 @@ class Indice:
             cache_key = StageCache.key(
                 "analyze",
                 fingerprint_table(table),
-                self._config_fingerprint(_ANALYZE_FIELDS),
+                self._config_fingerprint(ANALYZE_FIELDS),
             )
             found, cached = self._cache_get("analytics", cache_key)
             if found:
@@ -889,7 +857,7 @@ class Indice:
         return fingerprint_value(
             {
                 "table": fingerprint_table(outcome.table),
-                "analytics_config": self._config_fingerprint(_ANALYZE_FIELDS),
+                "analytics_config": self._config_fingerprint(ANALYZE_FIELDS),
                 "n_rules": len(outcome.rules),
             }
         )[:16]

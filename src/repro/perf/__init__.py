@@ -19,7 +19,6 @@ cached paths return bit-identical results to the serial, uncached ones.
 
 from .cache import (
     StageCache,
-    fingerprint_config,
     fingerprint_table,
     fingerprint_value,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "StageCache",
     "TableSlice",
     "attach_slice",
-    "fingerprint_config",
     "fingerprint_table",
     "fingerprint_value",
 ]

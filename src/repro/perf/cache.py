@@ -7,8 +7,9 @@ same input — by far the most expensive part of an interactive session.
 fingerprints (SHA-256 over the table's cells and the analytic config
 fields), so a hit is returned only when every input byte that can affect
 the result is identical.  Perf-only knobs (``n_jobs``, cache settings)
-are excluded from the config fingerprint: they change how fast a stage
-runs, never what it returns.
+are excluded from the config fingerprint (their fields declare no stage
+in :mod:`repro.core.config`): they change how fast a stage runs, never
+what it returns.
 
 The cache is in-memory by default; give it a directory and entries are
 also pickled to disk, surviving across processes (e.g. repeated CLI runs
@@ -37,21 +38,8 @@ from ..faults.plan import CACHE_READ, CACHE_WRITE, FaultInjector, FaultKind
 __all__ = [
     "StageCache",
     "fingerprint_table",
-    "fingerprint_config",
     "fingerprint_value",
 ]
-
-#: Config fields that affect performance (or failure handling) but never
-#: the results of a successful run.
-PERF_ONLY_FIELDS = (
-    "n_jobs",
-    "stage_cache",
-    "cache_dir",
-    "resilience",
-    "shards",
-    "spill_dir",
-)
-
 
 def _canonical(obj: Any) -> Any:
     """A JSON-serializable canonical form of *obj* (stable across runs)."""
@@ -110,18 +98,6 @@ def fingerprint_table(table: Table) -> str:
     return h.hexdigest()
 
 
-def fingerprint_config(config: Any, exclude: tuple[str, ...] = PERF_ONLY_FIELDS) -> str:
-    """Fingerprint of a (dataclass) config, minus perf-only fields."""
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        payload = {
-            f.name: _canonical(getattr(config, f.name))
-            for f in dataclasses.fields(config)
-            if f.name not in exclude
-        }
-        return fingerprint_value(payload)
-    return fingerprint_value(config)
-
-
 class StageCache:
     """Memoize stage outcomes under content-hash keys.
 
@@ -131,7 +107,7 @@ class StageCache:
     processes.  The cache never validates beyond the key — callers must
     build keys from fingerprints of *every* input that can change the
     outcome (that is what :func:`fingerprint_table` and
-    :func:`fingerprint_config` are for).
+    :func:`fingerprint_value` are for).
 
     Disk entries are written atomically (unique temp file + ``os.replace``)
     so a crashed writer can never leave a half-written ``.pkl`` behind,

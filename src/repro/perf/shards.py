@@ -55,11 +55,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.config import PREPROCESS_FIELDS
 from ..core.engine import (
     AnalyticsOutcome,
     Indice,
     PreprocessingOutcome,
-    _PREPROCESS_FIELDS,
     _clean_city,
 )
 from ..dataset.noise import NoiseConfig, apply_noise
@@ -650,7 +650,7 @@ class ShardRunner:
             scheme=plan.scheme, shards=len(plan.shards), rows=total,
             spill_dir=str(spill_dir),
         )
-        config_fp = engine._config_fingerprint(_PREPROCESS_FIELDS)
+        config_fp = engine._config_fingerprint(PREPROCESS_FIELDS)
 
         records, stats, content_fps = self._transform_shards(
             config_fp, spill_dir

@@ -1,10 +1,13 @@
 """Tests for the automatic configuration advisor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.autoconfig import _count_modes, suggest_config
 from repro.core.config import IndiceConfig
+from repro.faults.policy import ResiliencePolicy
 from repro.dataset import SyntheticConfig, generate_epc_collection
 from repro.dataset.table import Column, Table
 from repro.preprocessing import ExpertConfigStore, OutlierMethod
@@ -99,6 +102,23 @@ class TestAdvice:
         assert advice.config.discretization_plan["eph"] == (
             base.discretization_plan["eph"]
         )
+
+    def test_base_fields_the_advisor_does_not_set_are_kept(self, collection):
+        base = IndiceConfig(
+            outlier_overrides={"eta_h": (OutlierMethod.GESD, {"alpha": 0.01})},
+            n_jobs=2,
+            stage_cache=False,
+            spill_dir="spill",
+            resilience=ResiliencePolicy(geocoder_retries=0),
+        )
+        suggested = suggest_config(collection.table, base=base).config
+        advised = {"outlier_method", "k_range", "discretization_plan", "rule_constraints"}
+        for spec in dataclasses.fields(IndiceConfig):
+            if spec.name not in advised:
+                assert getattr(suggested, spec.name) == getattr(base, spec.name), spec.name
+        assert dataclasses.replace(
+            suggested.rule_constraints, min_support=base.rule_constraints.min_support
+        ) == base.rule_constraints
 
     def test_describe_mentions_each_attribute(self, collection):
         advice = suggest_config(collection.table)

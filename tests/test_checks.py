@@ -36,7 +36,6 @@ EXPECTED = {
     "det001": ("DET001", 3),
     "det002": ("DET002", 4),
     "det003": ("DET003", 3),
-    "cache001": ("CACHE001", 2),
     "fault001": ("FAULT001", 2),
     "exc001": ("EXC001", 2),
     "mut001": ("MUT001", 3),
@@ -53,7 +52,6 @@ EXPECTED = {
     "lock003": ("LOCK003", 2),
     "lock004": ("LOCK004", 3),
     "sem001": ("SEM001", 2),
-    "cfg001": ("CFG001", 3),
     "imp001": ("IMP001", 1),
     "cache002": ("CACHE002", 2),
     "det004": ("DET004", 2),

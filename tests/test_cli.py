@@ -2,8 +2,18 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import IndiceConfig
+from repro.cli import _apply_perf_arguments, build_parser, main
+from repro.core.config import CLI_FIELDS
 from repro.dataset.io import read_csv
+
+#: The flag each CLI-exposed IndiceConfig field is spelled as.
+FLAGS = {
+    "n_jobs": "--jobs",
+    "stage_cache": "--no-cache",
+    "cache_dir": "--cache-dir",
+    "spill_dir": "--spill-dir",
+}
 
 
 class TestParser:
@@ -19,6 +29,30 @@ class TestParser:
     def test_run_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "d.html", "--stakeholder", "alien"])
+
+    def test_serve_rejects_shards(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--shards", "2"])
+
+
+class TestConfigFlags:
+    """The perf flags of ``run`` and ``serve`` are generated from the config."""
+
+    @pytest.mark.parametrize("command", [["run", "d.html"], ["serve"]])
+    def test_flag_spellings_and_defaults_match_the_fields(self, command):
+        assert {spec.name: spec.metadata["cli"][0] for spec in CLI_FIELDS} == FLAGS
+        args = build_parser().parse_args(command)
+        for spec in CLI_FIELDS:
+            assert getattr(args, spec.name) == spec.default
+
+    def test_run_flags_wire_the_config(self):
+        args = build_parser().parse_args([
+            "run", "out.html", "--jobs", "2", "--no-cache",
+            "--cache-dir", "D", "--spill-dir", "S",
+        ])
+        assert _apply_perf_arguments(IndiceConfig(), args) == IndiceConfig(
+            n_jobs=2, stage_cache=False, cache_dir="D", spill_dir="S"
+        )
 
 
 class TestCommands:

@@ -1,5 +1,8 @@
 """Tests for the performance layer: executor, stage cache, parallel cleaning."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,19 @@ from repro.dataset.table import Column, ColumnKind, Table
 from repro.perf import (
     ParallelMap,
     StageCache,
-    fingerprint_config,
     fingerprint_table,
     fingerprint_value,
 )
+from repro.analytics.rules import RuleConstraints, RuleTemplate
+from repro.core.config import (
+    ANALYZE_FIELDS,
+    PREPROCESS_FIELDS,
+    knob,
+    stage_tagged,
+)
+from repro.faults.policy import ResiliencePolicy
 from repro.preprocessing.address_cleaner import AddressCleaner, CleaningConfig
+from repro.preprocessing.outliers import OutlierMethod
 
 
 def _square(x):
@@ -178,23 +189,71 @@ class TestFingerprints:
         b = Table([Column.numeric("n", [None, 1.5])])
         assert fingerprint_table(a) == fingerprint_table(b)
 
-    def test_config_fingerprint_ignores_perf_fields(self):
-        a = IndiceConfig(n_jobs=1, stage_cache=True)
-        b = IndiceConfig(n_jobs=8, stage_cache=False, cache_dir="/tmp/x")
-        assert fingerprint_config(a) == fingerprint_config(b)
-
-    def test_config_fingerprint_sees_analytic_fields(self):
-        assert fingerprint_config(IndiceConfig()) != fingerprint_config(
-            IndiceConfig(k_range=(2, 5))
-        )
-        base = IndiceConfig()
-        phi = IndiceConfig(cleaning=CleaningConfig(phi=0.9))
-        assert fingerprint_config(base) != fingerprint_config(phi)
-
     def test_fingerprint_value_canonicalizes_dict_order(self):
         assert fingerprint_value({"a": 1, "b": 2}) == fingerprint_value(
             {"b": 2, "a": 1}
         )
+
+
+#: One non-default value per IndiceConfig field, with the stage keys that
+#: flipping it must move.  These sets are the stage-cache key contract:
+#: moving a field between them invalidates (or wrongly reuses) entries.
+_PRE, _ANA = "preprocess", "analyze"
+FIELD_FLIPS = {
+    "city": ("Milan", {_PRE, _ANA}),
+    "building_type": ("E.1.2", {_ANA}),
+    "features": (("aspect_ratio", "eta_h"), {_PRE, _ANA}),
+    "response": ("energy_class", {_PRE, _ANA}),
+    "cleaning": (CleaningConfig(phi=0.9), {_PRE}),
+    "geocoder_quota": (10, {_PRE}),
+    "outlier_method": (OutlierMethod.GESD, {_PRE}),
+    "outlier_params": ({"threshold": 3.0}, {_PRE}),
+    "outlier_overrides": ({"eta_h": (OutlierMethod.GESD, {"alpha": 0.01})}, {_PRE}),
+    "run_multivariate_outliers": (False, {_PRE}),
+    "k_range": ((2, 6), {_ANA}),
+    "kmeans_n_init": (3, {_ANA}),
+    "seed": (1, {_ANA}),
+    "discretization_plan": ({"eta_h": 2}, {_ANA}),
+    "rule_constraints": (RuleConstraints(min_support=0.1), {_ANA}),
+    "rule_template": (RuleTemplate(max_antecedent=2), {_ANA}),
+    "correlation_threshold": (0.7, {_ANA}),
+    "n_jobs": (8, set()),
+    "stage_cache": (False, set()),
+    "cache_dir": ("cache", set()),
+    "spill_dir": ("spill", set()),
+    "resilience": (ResiliencePolicy(geocoder_retries=0), set()),
+}
+
+
+class TestStageKeys:
+    """The engine's per-stage config fingerprints follow the field tags."""
+
+    @staticmethod
+    def _keys(config):
+        stub = SimpleNamespace(config=config)
+        return {
+            _PRE: Indice._config_fingerprint(stub, PREPROCESS_FIELDS),
+            _ANA: Indice._config_fingerprint(stub, ANALYZE_FIELDS),
+        }
+
+    def test_table_covers_every_field(self):
+        assert set(FIELD_FLIPS) == {f.name for f in dataclasses.fields(IndiceConfig)}
+
+    @pytest.mark.parametrize("name", sorted(FIELD_FLIPS))
+    def test_flipping_a_field_moves_exactly_its_stage_keys(self, name):
+        value, stages = FIELD_FLIPS[name]
+        assert getattr(IndiceConfig(), name) != value
+        base = self._keys(IndiceConfig())
+        flipped = self._keys(IndiceConfig(**{name: value}))
+        assert {stage for stage in base if base[stage] != flipped[stage]} == stages
+
+    def test_untagged_field_raises_at_class_creation(self):
+        with pytest.raises(TypeError, match="untagged declare no stages"):
+            @stage_tagged
+            @dataclasses.dataclass
+            class Config:
+                tagged: int = knob(0, stages=())
+                untagged: int = 0
 
 
 class TestStageCache:
