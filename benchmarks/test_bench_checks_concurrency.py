@@ -1,6 +1,6 @@
 """A15 — the concurrency sweep prices in, cold and warm.
 
-The four LOCK002/LOCK003/LOCK004/SEM001 rules ride on the same per-file
+The three LOCK002/LOCK003/LOCK004 rules ride on the same per-file
 facts as every other project rule, so adding them must not break the
 analysis-cost contract: a cold full-tree sweep restricted to the
 concurrency rules stays under the 5 s budget, and a warm run still
@@ -22,7 +22,7 @@ from repro.checks.model import all_rules
 ROUNDS = 3
 MAX_COLD_S = 5.0
 MAX_WARM_S = 1.0
-CODES = ("LOCK002", "LOCK003", "LOCK004", "SEM001")
+CODES = ("LOCK002", "LOCK003", "LOCK004")
 SRC = Path(repro.__file__).parent
 
 
@@ -101,8 +101,8 @@ def test_a15_concurrency_sweep_budgets(benchmark, tmp_path):
             f"findings       {len(warm.findings)} unsuppressed "
             f"({warm.n_suppressed} pragma-suppressed)",
             "",
-            "the lock-order graph, guarded-by inference and semaphore",
-            "balance flows are extracted once per file into cached facts;",
+            "the lock-order graph and guarded-by inference facts are",
+            "extracted once per file into cached facts;",
             "warm sweeps rebuild the cross-module model from those facts",
             "(dict merges + one Tarjan pass) without re-parsing anything.",
         ],

@@ -20,7 +20,6 @@ from .discretize import (
     quantile_discretization,
 )
 from .apriori import FrequentItemsets, Item, ItemsetMiner, transactions_from_table
-from .fpgrowth import FpGrowthMiner, FpTree
 from .rules import (
     AssociationRule,
     RuleConstraints,
@@ -75,8 +74,6 @@ __all__ = [
     "Item",
     "ItemsetMiner",
     "transactions_from_table",
-    "FpGrowthMiner",
-    "FpTree",
     "AssociationRule",
     "RuleConstraints",
     "RuleMiner",

@@ -10,9 +10,12 @@ hold: columns flow schema → stages → dashboards, state crosses the
 and the module graph stays acyclic.  (That stage-cache fingerprints
 cover exactly the config fields that affect outcomes, and that the CLI
 flags match the config, is structural: each ``IndiceConfig`` field
-declares its stages and flag once, see :mod:`repro.core.config`.)  This
-package walks the project's own AST (with a content-hash incremental
-cache, see :mod:`.cache`) and fails the build when any of them drifts:
+declares its stages and flag once, see :mod:`repro.core.config`.  So
+is the release of shared memory and spill maps: they release only
+through ``with``, see :mod:`repro.perf.shm` and :mod:`repro.perf.spill`.)
+This package walks the project's own AST (with a content-hash
+incremental cache, see :mod:`.cache`) and fails the build when any of
+them drifts:
 
 =========  ===========================  =========================================
 code       name                         contract
@@ -31,20 +34,12 @@ PAR001     unpicklable-or-stale-capture fork-safety: workers pickle cleanly and
                                         receive state via initializer/initargs
 PAR002     worker-side-mutation         fork-safety: workers return, never write
 IMP001     import-cycle                 architecture: the module graph is a DAG
-LOCK001    acquire-without-release      resources: every acquire has a provable
-                                        release on all paths
-PAR003     shm-leak                     resources: shared memory is closed and
-                                        unlinked on every path
-PAR004     spill-lifecycle              resources: every opened spill map is
-                                        closed on every path
 LOCK002    lock-order-cycle             concurrency: the cross-module lock graph
                                         is acyclic (no ABBA deadlock)
 LOCK003    inconsistent-guard           concurrency: attributes mutated under a
                                         lock are never mutated outside it
 LOCK004    blocking-call-under-lock     concurrency: no IO/sleep/render while
                                         holding a lock (latency convoy)
-SEM001     semaphore-imbalance          concurrency: acquire/release balance on
-                                        every early return
 CACHE002   unfingerprinted-cache-read   effects: a cached stage or render never
                                         reads state its key did not fingerprint
 DET004     tainted-serialized-sink      effects: no clock/RNG/set-order taint

@@ -1,10 +1,10 @@
 """Lock-identity facts and the cross-module concurrency model.
 
-The serving tier (PR 6) made the reproduction genuinely concurrent —
-per-key single-flight locks, semaphore admission, a fixed worker pool —
-and LOCK001 only proves lock *lifecycle* (every acquire has a release
-path).  This module adds the *ordering* and *coverage* half, in the same
-two-layer shape as :mod:`.project`:
+The serving tier made the reproduction genuinely concurrent — per-key
+single-flight locks, semaphore admission, a fixed worker pool.  Lock
+*lifecycle* is structural (``with`` regions, and one timed admission
+acquire released in a ``finally``); this module checks the *ordering*
+and *coverage* half, in the same two-layer shape as :mod:`.project`:
 
 1. :func:`extract_concurrency` walks one parsed file and distils a plain
    JSON-serializable dict of concurrency facts: lock-object identities
@@ -14,12 +14,12 @@ two-layer shape as :mod:`.project`:
    lock-returning helpers such as ``ArtifactStore._lock_for``), the
    nested-acquisition order edges observed inside each function, calls
    made while holding a lock, attribute writes inside vs. outside lock
-   regions, blocking calls under a lock, per-function semaphore
-   balance flows, and ``threading.Thread`` targets.  Facts hold no AST
-   nodes, so they cache per content hash like every other fact family.
+   regions, blocking calls under a lock, and ``threading.Thread``
+   targets.  Facts hold no AST nodes, so they cache per content hash
+   like every other fact family.
 2. :class:`ConcurrencyModel` aggregates the facts of a whole
    :class:`~repro.checks.project.ProjectIndex` into the global
-   structures the LOCK002/LOCK003/LOCK004/SEM001 rules consume: a
+   structures the LOCK002/LOCK003/LOCK004 rules consume: a
    cross-module lock-order graph (intra-function nesting plus
    interprocedural edges one call deep, resolved through the index's
    import bindings), Tarjan SCC cycle detection over it, and guarded-by
@@ -72,9 +72,6 @@ _MUTATORS = frozenset(
 )
 #: Methods whose writes run before any thread can see the instance.
 _INIT_METHODS = frozenset({"__init__", "__post_init__"})
-
-#: Path-explosion cap for the semaphore balance engine.
-_MAX_STATES = 64
 
 
 def _lock_kind(node: ast.expr | None) -> str | None:
@@ -153,7 +150,6 @@ class _Extractor:
             "region_calls": [],
             "blocking": [],
             "attr_writes": [],
-            "sem_flows": [],
             "thread_targets": [],
         }
         self._collect_functions()
@@ -161,7 +157,6 @@ class _Extractor:
         self._collect_returns_lock()
         for qual, cls, node in self.functions:
             self._walk_function(qual, cls, node)
-            self._sem_function(qual, cls, node)
         self.facts["locks"] = sorted(
             [ident, kind, self.lock_lines[ident]]
             for ident, kind in self.locks.items()
@@ -505,169 +500,6 @@ class _Extractor:
 
         visit_block(list(func.body))
 
-    # -- semaphore balance flows ---------------------------------------------
-
-    def _sem_function(self, qual: str, cls: str | None, func: ast.AST) -> None:
-        aliases = self._alias_map(qual, cls, func)
-        idents: set[str] = set()
-        for node in _scan(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("acquire", "release")
-            ):
-                ident = self._resolve(node.func.value, aliases, cls)
-                if ident is not None and self.locks.get(ident) == "semaphore":
-                    idents.add(ident)
-        for ident in sorted(idents):
-            self.facts["sem_flows"].extend(
-                self._sem_flows(func, aliases, cls, ident)
-            )
-
-    def _sem_flows(
-        self, func: ast.AST, aliases: dict[str, str], cls: str | None, ident: str
-    ) -> list:
-        """``[ident, kind, lineno, col]`` imbalances of one semaphore."""
-
-        exits: list[tuple[int, bool, int, int]] = []
-
-        def matches(node: ast.AST, method: str) -> ast.Call | None:
-            for sub in _scan(node):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == method
-                    and self._resolve(sub.func.value, aliases, cls) == ident
-                ):
-                    return sub
-            return None
-
-        def fork_states(states: list[dict], var: str | None) -> tuple[list, list]:
-            """(acquired, failed) successor states of one timed acquire."""
-            acquired, failed = [], []
-            for state in states:
-                taken = dict(state, count=state["count"] + 1, acq=True)
-                missed = dict(state)
-                if var is not None:
-                    taken = dict(taken, vars=dict(state["vars"], **{var: True}))
-                    missed = dict(missed, vars=dict(state["vars"], **{var: False}))
-                acquired.append(taken)
-                failed.append(missed)
-            return acquired, failed
-
-        def record_exit(states: list[dict], finallies, lineno: int, col: int) -> None:
-            for state in states:
-                for settled in apply_finallies(state, finallies):
-                    exits.append((settled["count"], settled["acq"], lineno, col))
-
-        def apply_finallies(state: dict, finallies) -> list[dict]:
-            states = [state]
-            for body in reversed(finallies):
-                states = run(list(body), states, [])
-            return states
-
-        def run(stmts: list[ast.stmt], states: list[dict], finallies) -> list[dict]:
-            for stmt in stmts:
-                if not states:
-                    return []
-                states = step(stmt, states, finallies)[:_MAX_STATES]
-            return states
-
-        def step(stmt: ast.stmt, states: list[dict], finallies) -> list[dict]:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                return states
-            if isinstance(stmt, ast.Return):
-                record_exit(states, finallies, stmt.lineno, stmt.col_offset)
-                return []
-            if isinstance(stmt, ast.Raise):
-                return []  # exception paths are LOCK001's domain
-            if isinstance(stmt, ast.If):
-                acquire = matches(stmt.test, "acquire")
-                if acquire is not None:
-                    negated = isinstance(stmt.test, ast.UnaryOp) and isinstance(
-                        stmt.test.op, ast.Not
-                    )
-                    acquired, failed = fork_states(states, None)
-                    into_body = failed if negated else acquired
-                    past_test = acquired if negated else failed
-                    return (
-                        run(list(stmt.body), into_body, finallies)
-                        + run(list(stmt.orelse), past_test, finallies)
-                    )
-                test_var = None
-                test_negated = False
-                if isinstance(stmt.test, ast.Name):
-                    test_var = stmt.test.id
-                elif (
-                    isinstance(stmt.test, ast.UnaryOp)
-                    and isinstance(stmt.test.op, ast.Not)
-                    and isinstance(stmt.test.operand, ast.Name)
-                ):
-                    test_var = stmt.test.operand.id
-                    test_negated = True
-                into_body, into_else = [], []
-                for state in states:
-                    known = state["vars"].get(test_var) if test_var else None
-                    if known is None:
-                        into_body.append(state)
-                        into_else.append(state)
-                    elif known != test_negated:
-                        into_body.append(state)
-                    else:
-                        into_else.append(state)
-                return (
-                    run(list(stmt.body), into_body, finallies)
-                    + run(list(stmt.orelse), into_else, finallies)
-                )
-            if isinstance(stmt, (ast.While, ast.For)):
-                once = run(list(stmt.body), states, finallies)
-                return states + once
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                # `with sem:` is balanced by __exit__ on every path
-                return run(list(stmt.body), states, finallies)
-            if isinstance(stmt, ast.Try):
-                inner = finallies + ([stmt.finalbody] if stmt.finalbody else [])
-                states = run(list(stmt.body), states, inner)
-                states = run(list(stmt.orelse), states, inner)
-                if stmt.finalbody:
-                    states = run(list(stmt.finalbody), states, finallies)
-                return states
-            if isinstance(stmt, ast.Assign):
-                acquire = matches(stmt.value, "acquire")
-                if acquire is not None and len(stmt.targets) == 1 and isinstance(
-                    stmt.targets[0], ast.Name
-                ):
-                    acquired, failed = fork_states(states, stmt.targets[0].id)
-                    return acquired + failed
-            out = states
-            if matches(stmt, "acquire") is not None:
-                out = [dict(s, count=s["count"] + 1, acq=True) for s in out]
-            if matches(stmt, "release") is not None:
-                out = [dict(s, count=s["count"] - 1) for s in out]
-            return out
-
-        initial = {"count": 0, "acq": False, "vars": {}}
-        final = run(list(func.body), [initial], [])
-        anchor = getattr(func, "lineno", 0)
-        for state in final:
-            exits.append((state["count"], state["acq"], anchor, 0))
-
-        flows: list = []
-        seen: set[tuple] = set()
-        balanced = any(count == 0 and acq for count, acq, __, ___ in exits)
-        for count, acq, lineno, col in exits:
-            if count < 0:
-                key = (ident, "over", lineno)
-                if key not in seen:
-                    seen.add(key)
-                    flows.append([ident, "over", lineno, col])
-            elif count > 0 and acq and balanced:
-                key = (ident, "leak", lineno)
-                if key not in seen:
-                    seen.add(key)
-                    flows.append([ident, "leak", lineno, col])
-        return flows
-
 
 def extract_concurrency(tree: ast.Module) -> dict:
     """The JSON-serializable concurrency facts of one parsed file."""
@@ -688,7 +520,6 @@ class ConcurrencyModel:
         #: ``(outer, inner) -> (display, lineno, col)`` — first site wins.
         self.edges: dict[tuple[str, str], tuple[str, int, int]] = {}
         self.blocking: list[tuple[str, str, str, int, int]] = []
-        self.sem_flows: list[tuple[str, str, str, int, int]] = []
         self._writes: dict[str, dict[str, list]] = {}
         self._threaded_classes: set[str] = set()
         self._build(index)
@@ -720,10 +551,6 @@ class ConcurrencyModel:
             for holder, what, lineno, col in facts.get("blocking", ()):
                 self.blocking.append(
                     (f"{module}:{holder}", what, summary.display, lineno, col)
-                )
-            for ident, kind, lineno, col in facts.get("sem_flows", ()):
-                self.sem_flows.append(
-                    (f"{module}:{ident}", kind, summary.display, lineno, col)
                 )
             for ident, lock, qual, lineno, col in facts.get("attr_writes", ()):
                 entry = self._writes.setdefault(

@@ -1,6 +1,6 @@
 """Runtime lock-order sanitizer — the dynamic half of the LOCK rules.
 
-The static rules (LOCK002–LOCK004, SEM001) prove ordering over the
+The static rules (LOCK002–LOCK004) prove ordering over the
 *code*; this module proves it over an actual *run*.  A
 :class:`SanitizedLock` wraps any lock-like primitive and reports every
 acquisition to a shared :class:`LockDep`, which keeps a per-thread stack
@@ -202,7 +202,7 @@ class SanitizedLock:
         self._dep.before_acquire(self.name)
         # The wrapper *is* the primitive: its caller (or __exit__) owns
         # the release, exactly as for the raw lock it stands in for.
-        got = self._inner.acquire(*args, **kwargs)  # repro: noqa[LOCK001] — forwarding proxy
+        got = self._inner.acquire(*args, **kwargs)
         if got or got is None:  # Condition.wait-style APIs return None
             self._dep.after_acquire(self.name)
         return got
@@ -219,7 +219,7 @@ class SanitizedLock:
 
     def __enter__(self):
         # context-manager protocol: __exit__ is the provable release
-        self.acquire()  # repro: noqa[LOCK001] — released by __exit__
+        self.acquire()
         return self
 
     def __exit__(self, exc_type, exc, tb):

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Bump when the facts schema changes so cached summaries invalidate.
-FACTS_VERSION = 5
+FACTS_VERSION = 6
 
 #: Attribute methods whose first argument names a fault-injection site.
 _HOOK_METHODS = ("arrive", "fire")

@@ -9,11 +9,8 @@ Modules group rules by the contract they defend:
   PAR001/PAR002 (ParallelMap fork-safety), IMP001 (import cycles);
 * :mod:`.hygiene` — EXC001 (silent broad except), MUT001 (mutable
   defaults), FLOAT001 (float equality);
-* :mod:`.resources` — LOCK001 (acquire without provable release),
-  PAR003 (shared-memory create without provable close/unlink cleanup);
 * :mod:`.concurrency` — LOCK002 (lock-order cycle), LOCK003
-  (inconsistent guard), LOCK004 (blocking call under lock), SEM001
-  (semaphore acquire/release imbalance);
+  (inconsistent guard), LOCK004 (blocking call under lock);
 * :mod:`.effects` — CACHE002 (un-fingerprinted cache read), DET004
   (tainted serialized sink), FAULT002 (non-idempotent retry), PURE001
   (impure cross-module worker), all over the interprocedural
@@ -27,7 +24,6 @@ from . import (
     determinism,
     effects,
     hygiene,
-    resources,
 )
 
 __all__ = [
@@ -37,5 +33,4 @@ __all__ = [
     "determinism",
     "effects",
     "hygiene",
-    "resources",
 ]

@@ -1,6 +1,6 @@
-"""Concurrency contract rules: lock ordering, guard coverage, balance.
+"""Concurrency contract rules: lock ordering, guard coverage, blocking.
 
-Four rules over :class:`~repro.checks.concurrency.ConcurrencyModel`, the
+Three rules over :class:`~repro.checks.concurrency.ConcurrencyModel`, the
 cross-module aggregate of the per-file lock facts (so a warm incremental
 run pays nothing beyond a dict merge):
 
@@ -24,13 +24,12 @@ run pays nothing beyond a dict merge):
   (the ``Condition.wait`` protocol) is exempt; the intentional
   single-flight coalescing render is sanctioned via a justified
   ``# repro: noqa[LOCK004]`` pragma rather than silently allowlisted.
-* **SEM001** — semaphore acquire/release imbalance.  A path-sensitive
-  walk of every function touching a ``(Bounded)Semaphore``: an early
-  return that leaks an acquired slot (while a sibling path releases it,
-  so the function is *meant* to be balanced) or a path releasing more
-  than it acquired (double-release corrupts the admission count).
-  Functions whose every exit transfers ownership to the caller are not
-  flagged — that is a protocol, not a bug.
+
+Acquire/release *balance* is not a rule: the shared-memory and spill
+resources release only through ``with``, the single-flight lock is a
+``with`` region, and the one timed admission acquire
+(``ArtifactServer.respond``) releases in its ``finally`` — pinned by the
+exit-path matrix in ``tests/test_serving_concurrency.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "LockOrderCycle",
     "InconsistentGuard",
     "BlockingCallUnderLock",
-    "SemaphoreImbalance",
 ]
 
 
@@ -153,40 +151,3 @@ class BlockingCallUnderLock(Rule):
                 f"'{_short(holder)}'; every contender queues behind this "
                 "IO — hoist it out of the locked region",
             )
-
-
-@register
-class SemaphoreImbalance(Rule):
-    """SEM001 — semaphore acquire/release imbalance across early returns."""
-
-    code = "SEM001"
-    name = "semaphore-imbalance"
-    rationale = (
-        "an early return that skips the release of an acquired semaphore "
-        "slot permanently shrinks the admission pool (the server sheds "
-        "load it could carry), and a path releasing more than it acquired "
-        "inflates it (BoundedSemaphore raises, a plain one over-admits); "
-        "every path through a balanced function must release exactly what "
-        "it acquired"
-    )
-
-    def check_index(self, index: "ProjectIndex") -> Iterator[Finding]:
-        """Leaked-slot and over-release flows become findings."""
-        model = ConcurrencyModel.of(index)
-        for ident, kind, display, lineno, col in sorted(
-            model.sem_flows, key=lambda site: (site[2], site[3], site[4])
-        ):
-            if kind == "leak":
-                message = (
-                    f"this path returns without releasing the slot "
-                    f"acquired from semaphore '{_short(ident)}' while "
-                    "sibling paths release it; the admission pool shrinks "
-                    "by one forever"
-                )
-            else:
-                message = (
-                    f"this path releases semaphore '{_short(ident)}' more "
-                    "often than it acquired it; a BoundedSemaphore raises "
-                    "ValueError here and a plain Semaphore over-admits"
-                )
-            yield Finding(display, lineno, col, self.code, message)

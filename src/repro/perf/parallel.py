@@ -407,8 +407,8 @@ class ParallelMap:
         slice descriptors.  The serial path, fallback semantics, fault
         sites and ordering guarantees are identical to :meth:`map` — a pool
         failure recomputes the whole table inline (bit-identical) and
-        counts in ``fallbacks``; the shared block is always closed and
-        unlinked in a ``finally``, so no segment outlives the call even
+        counts in ``fallbacks``; the shared block is released by the
+        ``with`` around the pool run, so no segment outlives the call even
         when workers crash.
         """
         n = table.n_rows
@@ -421,9 +421,9 @@ class ParallelMap:
             # /dev/shm full or unavailable: degrade to the serial path
             self._fall_back(exc)
             return self._serial_table(chunk_func, table, initializer, initargs)
-        self.encode_seconds += time.perf_counter() - started
-        self.shm_bytes += shared.nbytes
-        try:
+        with shared:
+            self.encode_seconds += time.perf_counter() - started
+            self.shm_bytes += shared.nbytes
             payloads = [
                 (chunk_func, shared.descriptor(rng), self._chunk_fault())
                 for rng in self.shard_ranges(n)
@@ -434,9 +434,6 @@ class ParallelMap:
             results = self._run_pool(
                 _run_table_chunk, payloads, initializer, initargs
             )
-        finally:
-            shared.close()
-            shared.unlink()
         if results is None:
             return self._serial_table(chunk_func, table, initializer, initargs)
         return [item for chunk in results for item in chunk]

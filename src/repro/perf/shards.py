@@ -470,11 +470,8 @@ class ShardRunner:
         """Whether a warm record's spill is present and checksum-clean."""
         path = spill_dir / record.spill_name
         try:
-            spill = SpillFile.open(path, self.engine.injector)
-            try:
+            with SpillFile.open(path, self.engine.injector) as spill:
                 spill.verify()
-            finally:
-                spill.close()
         except (SpillError, OSError):
             return False
         return True

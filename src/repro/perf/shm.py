@@ -23,12 +23,14 @@ Buffer layout (all parts packed back to back in one block):
   validity byte per row (``0`` = missing), which keeps ``None``
   distinguishable from the empty string.
 
-Lifecycle contract (PAR003-checked): the **creator** owns the segment —
-``create`` then ``close``/``unlink`` in a ``finally`` (or use the
-instance as a context manager); an **attacher** copies its slice out and
-``close``-es immediately (:func:`attach_slice` does both).  Workers never
-unlink: the parent's ``finally`` is the single point that releases the
-name, so a crashed worker can never orphan a segment.
+Lifecycle (structural): the **creator** owns the segment and can use
+it only inside ``with SharedTable.create(table) as shared:`` —
+:meth:`SharedTable.descriptor` raises before the block is entered and
+after it exits, and ``__exit__`` is the only release (close + unlink).
+An **attacher** copies its slice out and closes immediately
+(:func:`attach_slice` does both).  Workers never unlink: the parent's
+``with`` is the single point that releases the name, so a crashed
+worker can never orphan a segment.
 
 Round trip is deterministic and exact: ``decode(encode(column)) ==
 column`` under :meth:`Column.__eq__` for every kind, including ``NaN``,
@@ -216,9 +218,12 @@ def encode_table(
 class SharedTable:
     """A :class:`Table` encoded into one owned shared-memory block.
 
-    The instance that called :meth:`create` owns the segment: it must
-    ``close()`` and ``unlink()`` it (a ``finally`` block or the context
-    manager form), after every worker holding a descriptor has finished.
+    :meth:`create` allocates and fills the segment; the instance is then
+    usable only inside a ``with`` block.  :meth:`descriptor` and
+    :attr:`name` raise :class:`RuntimeError` before ``__enter__`` and
+    after ``__exit__``, and ``__exit__`` — the only release — closes and
+    unlinks the segment, after every worker holding a descriptor has
+    finished.
     """
 
     def __init__(
@@ -228,17 +233,26 @@ class SharedTable:
         n_rows: int,
         nbytes: int,
     ):
-        self._shm = shm
+        self._shm: shared_memory.SharedMemory | None = shm
+        self._entered = False
         self.specs = specs
         self.n_rows = n_rows
         #: Total encoded payload size (the block may be 1 byte larger for
         #: an empty table: shared memory cannot be zero-sized).
         self.nbytes = nbytes
 
+    def _segment(self) -> shared_memory.SharedMemory:
+        """The live segment; raises outside the ``with`` block."""
+        if not self._entered or self._shm is None:
+            raise RuntimeError(
+                "SharedTable is usable only inside its `with` block"
+            )
+        return self._shm
+
     @property
     def name(self) -> str:
         """The segment name workers attach to."""
-        return self._shm.name
+        return self._segment().name
 
     @classmethod
     def create(cls, table: Table) -> "SharedTable":
@@ -258,27 +272,24 @@ class SharedTable:
 
     def descriptor(self, row_range: tuple[int, int] | None = None) -> TableSlice:
         """A picklable slice descriptor (default: every row)."""
+        name = self.name
         lo, hi = row_range if row_range is not None else (0, self.n_rows)
         if not 0 <= lo <= hi <= self.n_rows:
             raise ValueError(
                 f"row range {(lo, hi)} outside [0, {self.n_rows}]"
             )
-        return TableSlice(self.name, self.specs, self.n_rows, (lo, hi))
-
-    def close(self) -> None:
-        """Release this process's mapping (idempotent)."""
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the segment (creator only, after all workers closed)."""
-        self._shm.unlink()
+        return TableSlice(name, self.specs, self.n_rows, (lo, hi))
 
     def __enter__(self) -> "SharedTable":
+        if self._entered or self._shm is None:
+            raise RuntimeError("a SharedTable can be entered only once")
+        self._entered = True
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-        self.unlink()
+        shm, self._shm = self._segment(), None
+        shm.close()
+        shm.unlink()
 
 
 def attach_slice(table_slice: TableSlice) -> Table:

@@ -20,12 +20,14 @@ column with offsets relative to the payload start, which is what makes
 column-projection reads possible: decoding one column touches only that
 column's byte windows of the memory-mapped payload.
 
-Lifecycle contract (PAR004-checked): :meth:`SpillFile.open` hands back an
-open file handle plus a memory map; the caller must ``close()`` it in a
-``finally`` block, a re-raising ``except`` handler, or a ``with``
-statement — a leaked map pins the spill file's pages for the life of the
-process.  Writes are atomic (unique temp file + ``os.replace``), so a
-crashed writer can never leave a half-written spill under the final name.
+Lifecycle (structural): :meth:`SpillFile.open` hands back an open file
+handle plus a memory map that can be read only inside
+``with SpillFile.open(path) as spill:`` — every read raises
+:class:`SpillError` before the block is entered and after it exits, and
+``__exit__`` is the only release, so no caller can keep a map pinned
+past its block.  Writes are atomic (unique temp file + ``os.replace``),
+so a crashed writer can never leave a half-written spill under the final
+name.
 
 Failure story: truncated or corrupted files raise :class:`SpillError` at
 open or decode time — never silently wrong data — and the sharded runner
@@ -114,10 +116,11 @@ class SpillFile:
     """A spilled table, memory-mapped for column-projection reads.
 
     The instance returned by :meth:`open` owns an open file descriptor and
-    a read-only memory map; the caller must :meth:`close` it on every path
-    (``finally`` / re-raising ``except`` / ``with`` — the PAR004
-    contract).  Decoding copies the requested rows out of the map, so
-    returned tables stay valid after ``close()``.
+    a read-only memory map, readable only inside a ``with`` block:
+    :meth:`column`, :meth:`to_table` and :meth:`verify` raise
+    :class:`SpillError` before ``__enter__`` and after ``__exit__``, which
+    is the only release.  Decoding copies the requested rows out of the
+    map, so returned tables stay valid after the block exits.
     """
 
     def __init__(
@@ -134,6 +137,7 @@ class SpillFile:
         self._handle = handle
         self._mapped = mapped
         self._payload: memoryview | None = payload
+        self._entered = False
         self.specs = specs
         self.n_rows = n_rows
         self.sha256 = sha256
@@ -210,6 +214,10 @@ class SpillFile:
     def _payload_view(self) -> memoryview:
         if self._payload is None:
             raise SpillError(f"spill {self.path} is closed")
+        if not self._entered:
+            raise SpillError(
+                f"spill {self.path} is readable only inside its `with` block"
+            )
         return self._payload
 
     def column(self, name: str):
@@ -249,16 +257,15 @@ class SpillFile:
                 f"({digest[:12]} != {self.sha256[:12]})"
             )
 
-    def close(self) -> None:
-        """Release the map and the file descriptor (idempotent)."""
-        if self._payload is not None:
-            self._payload.release()
-            self._payload = None
-            self._mapped.close()
-            self._handle.close()
-
     def __enter__(self) -> "SpillFile":
+        if self._entered or self._payload is None:
+            raise SpillError(f"spill {self.path} can be entered only once")
+        self._entered = True
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        payload = self._payload_view()
+        self._payload = None
+        payload.release()
+        self._mapped.close()
+        self._handle.close()

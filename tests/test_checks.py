@@ -45,13 +45,9 @@ EXPECTED = {
     "col003": ("COL003", 2),
     "par001": ("PAR001", 3),
     "par002": ("PAR002", 2),
-    "par003": ("PAR003", 2),
-    "par004": ("PAR004", 2),
-    "lock001": ("LOCK001", 2),
     "lock002": ("LOCK002", 2),
     "lock003": ("LOCK003", 2),
     "lock004": ("LOCK004", 3),
-    "sem001": ("SEM001", 2),
     "imp001": ("IMP001", 1),
     "cache002": ("CACHE002", 2),
     "det004": ("DET004", 2),
@@ -108,12 +104,10 @@ class TestSelfAnalysis:
         assert result.n_files > 60
         # the documented intentional sites (serving/server.py catch-all
         # 500 + pooled-worker survival, perf/cache.py corrupt-entry-as-miss,
-        # checks/cache.py corrupt
-        # analysis cache, checks/cli.py crash-to-exit-2 boundary,
-        # serving/store.py sanctioned coalescing render under the
-        # single-flight lock, checks/lockdep.py forwarding-proxy
-        # acquire + __enter__) are pragma'd, not invisible
-        assert result.n_suppressed == 8
+        # checks/cache.py corrupt analysis cache, checks/cli.py
+        # crash-to-exit-2 boundary, serving/store.py sanctioned coalescing
+        # render under the single-flight lock) are pragma'd, not invisible
+        assert result.n_suppressed == 6
 
     def test_checker_analyzes_itself(self):
         result = Checker().run([SRC / "checks"])
@@ -318,7 +312,7 @@ class TestRuleMetadata:
 
 
 class TestExplain:
-    @pytest.mark.parametrize("code", ["LOCK002", "SEM001", "MUT001"])
+    @pytest.mark.parametrize("code", ["LOCK002", "LOCK003", "MUT001"])
     def test_explain_prints_doc_rationale_and_fixture_pair(self, code):
         out = io.StringIO()
         assert checks_main(["--explain", code], out=out) == 0
@@ -362,25 +356,25 @@ class TestExplain:
         assert checks_main(["--explain", "lock"], out=out) == 2
         text = out.getvalue()
         assert "ambiguous" in text
-        for code in ("LOCK001", "LOCK002", "LOCK003", "LOCK004"):
+        for code in ("LOCK002", "LOCK003", "LOCK004"):
             assert code in text
 
     def test_explain_typo_suggests_near_misses(self):
         out = io.StringIO()
-        assert checks_main(["--explain", "LOKC001"], out=out) == 2
+        assert checks_main(["--explain", "LOKC002"], out=out) == 2
         text = out.getvalue()
         assert "did you mean" in text
-        assert "LOCK001" in text
+        assert "LOCK002" in text
 
 
 class TestSelectGlobs:
     def test_glob_selects_a_rule_family(self):
         out = io.StringIO()
         code = checks_main(
-            [str(FIXTURES / "lock001_bad.py"), "--select", "LOCK*"], out=out
+            [str(FIXTURES / "lock002_bad.py"), "--select", "LOCK*"], out=out
         )
         assert code == 1
-        assert "LOCK001" in out.getvalue()
+        assert "LOCK002" in out.getvalue()
 
     def test_glob_is_case_insensitive(self):
         out = io.StringIO()
@@ -498,22 +492,6 @@ class TestConcurrencyModel:
         assert ["Store._locks[]", "lock"] in [
             ident[:2] for ident in facts["locks"]
         ]
-
-    def test_semaphore_ownership_transfer_not_flagged(self, tmp_path):
-        # every exit returns holding the slot (caller releases): a
-        # protocol, not an imbalance — no balanced sibling exit, so
-        # SEM001 stays silent (lifecycle policing is LOCK001's job,
-        # which does fire here absent a justifying pragma)
-        (tmp_path / "xfer.py").write_text(
-            "import threading\n"
-            "slots = threading.Semaphore(4)\n"
-            "def admit_or_raise():\n"
-            "    if not slots.acquire(timeout=0.01):\n"
-            "        raise TimeoutError()\n"
-            "    return object()\n"
-        )
-        result = Checker().run([tmp_path])
-        assert [f.rule for f in result.findings if f.rule == "SEM001"] == []
 
 
 class TestEffectModel:

@@ -34,6 +34,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--shards", "2"])
 
+    @pytest.mark.parametrize("value", ["0", "-5", "two"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["generate", "out.csv"], "--certificates"),
+            (["suggest"], "--certificates"),
+            (["run", "d.html"], "--certificates"),
+            (["serve"], "--certificates"),
+            (["serve"], "--workers"),
+            (["serve"], "--max-inflight"),
+        ],
+    )
+    def test_non_positive_counts_are_usage_errors(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestConfigFlags:
     """The perf flags of ``run`` and ``serve`` are generated from the config."""

@@ -221,15 +221,67 @@ class TestLoadShedding:
             assert status == 200 and body == b"slow artifact"
 
     def test_shed_does_not_leak_slots(self):
-        # a shed request must not consume an admission slot: after many
-        # sheds the server still serves normally
+        # every exit from respond gives its admission slot back: with one
+        # slot, a leak on any path would shed the follow-up request
+        dep = LockDep("exits")
+        started = threading.Event()
         release = threading.Event()
-        release.set()  # renders never block in this test
-        store = self._blocking_store(release)
-        server = ArtifactServer(store, max_inflight=1, shed_after_s=0.01)
-        for __ in range(5):
-            assert server.respond("GET", "/slow").status == 200
-        assert server.inflight == 0
+
+        def slow():
+            started.set()
+            assert release.wait(timeout=30.0), "test never released the render"
+            return "slow artifact"
+
+        def boom():
+            raise RuntimeError("render failed")
+
+        store = ArtifactStore(
+            "v-exits",
+            {
+                "/page": ("text/plain", lambda: "page"),
+                "/boom": ("text/plain", boom),
+                "/slow": ("text/plain", slow),
+            },
+            lockdep=dep,
+        )
+        server = ArtifactServer(
+            store, max_inflight=1, shed_after_s=0.05, lockdep=dep
+        )
+
+        def assert_slot_returned():
+            assert server.inflight == 0
+            assert dep.held() == ()
+            assert server.respond("GET", "/page").status == 200
+            dep.assert_clean()
+
+        etag = server.respond("GET", "/page").header("ETag")
+        exits = [
+            (200, "GET", "/page", None),
+            (304, "GET", "/page", {"If-None-Match": etag}),
+            (404, "GET", "/missing", None),
+            (400, "GET", "/%2e%2e/secret", None),
+            (200, "HEAD", "/page", None),
+            (500, "GET", "/boom", None),
+        ]
+        for status, method, path, headers in exits:
+            assert server.respond(method, path, headers).status == status
+            assert_slot_returned()
+
+        # 503: a render parked in another thread holds the only slot
+        held = []
+        holder = threading.Thread(
+            target=lambda: held.append(server.respond("GET", "/slow"))
+        )
+        holder.start()
+        assert started.wait(timeout=10.0)
+        assert server.inflight == 1
+        shed = server.respond("GET", "/page")
+        assert shed.status == 503 and shed.header("Retry-After") == "1"
+        release.set()
+        holder.join(timeout=30.0)
+        assert [response.status for response in held] == [200]
+        assert server.stats["shed"] == 1
+        assert_slot_returned()
 
 
 class TestGracefulReload:

@@ -117,12 +117,9 @@ class TestSpillCodec:
         data = bytearray(path.read_bytes())
         data[-20] ^= 0xFF  # flip one payload byte, keep the size intact
         path.write_bytes(bytes(data))
-        spill = SpillFile.open(path)
-        try:
+        with SpillFile.open(path) as spill:
             with pytest.raises(SpillError):
                 spill.verify()
-        finally:
-            spill.close()
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(SpillError):
@@ -131,11 +128,23 @@ class TestSpillCodec:
     def test_closed_spill_refuses_reads(self, collection, tmp_path):
         path = tmp_path / "table.spill"
         write_spill(collection.table, path)
+        with SpillFile.open(path) as spill:
+            pass
+        for read in (lambda: spill.column("eph"), spill.to_table, spill.verify):
+            with pytest.raises(SpillError):
+                read()
+        with pytest.raises(SpillError):  # a released spill cannot re-enter
+            spill.__enter__()
+
+    def test_unentered_spill_refuses_reads(self, collection, tmp_path):
+        path = tmp_path / "table.spill"
+        write_spill(collection.table, path)
         spill = SpillFile.open(path)
-        spill.close()
-        spill.close()  # idempotent
-        with pytest.raises(SpillError):
-            spill.column("eph")
+        for read in (lambda: spill.column("eph"), spill.to_table, spill.verify):
+            with pytest.raises(SpillError):
+                read()
+        with spill:  # entering later still works, and releases the map
+            assert spill.to_table() == collection.table
 
     def test_injected_write_fault_leaves_no_file(self, collection, tmp_path):
         injector = FaultInjector(FaultPlan.parse("dataset.write:io_error"))

@@ -1,12 +1,14 @@
 """Tests for the columnar shared-memory codec and ``map_table``.
 
-Three concerns, mirroring the codec's contract:
+Four concerns, mirroring the codec's contract:
 
 * **round trip** — ``attach_slice(create(t).descriptor())`` must be
   ``Column.__eq__``-identical for every column kind, including NaN,
   ``None`` in categorical/text, the empty table, the empty string (which
   must stay distinct from ``None``) and non-ASCII street names; a seeded
-  randomized sweep covers the combinatorial cases;
+  randomized sweep covers the combinatorial cases through both
+  transports (shared memory and the on-disk spill);
+* **scope** — a segment is reachable only inside its ``with`` block;
 * **lifecycle** — no shared-memory segment may survive a ``map_table``
   call: not after success, not after a genuine worker crash (broken
   pool), not under injected ``parallel.worker`` faults;
@@ -27,6 +29,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.perf import ParallelMap, SharedTable, TableSlice, attach_slice
 from repro.perf.parallel import feature_matrix, grouped_mean
 from repro.perf.shm import encode_table
+from repro.perf.spill import SpillFile, write_spill
 
 _SHM_DIR = "/dev/shm"
 
@@ -63,6 +66,38 @@ def _mixed_table() -> Table:
             Column.text(
                 "s", ["via Pietro Giuria", "", None, "caffè", "niño 日本"]
             ),
+        ]
+    )
+
+
+_SWEEP_CASES = [*range(5), "empty", "all-missing", "non-ascii"]
+
+
+def _sweep_table(case, rng) -> Table:
+    """A random table of one sweep case: random sizes, missingness and
+    alphabets, or the empty, all-missing and non-ASCII shapes."""
+    n = 0 if case == "empty" else int(rng.integers(0, 200))
+    missing = 1.0 if case == "all-missing" else 0.25
+    numeric = rng.normal(size=n)
+    numeric[rng.random(n) < (1.0 if case == "all-missing" else 0.2)] = np.nan
+    alphabet = (
+        ["日本橋", "niño Ørsted", "caffè ☕", "e\u0301", "𝔘𝔫𝔦"]
+        if case == "non-ascii"
+        else ["corso Dante", "via Pò", "strada häuser", "", "B&B"]
+    )
+    cat = [
+        None if rng.random() < missing else alphabet[rng.integers(0, 3)]
+        for _ in range(n)
+    ]
+    text = [
+        None if rng.random() < missing else alphabet[rng.integers(0, 5)]
+        for _ in range(n)
+    ]
+    return Table(
+        [
+            Column.numeric("x", numeric),
+            Column.categorical("c", cat),
+            Column.text("s", text),
         ]
     )
 
@@ -123,37 +158,66 @@ class TestRoundTrip:
             with pytest.raises(ValueError):
                 shared.descriptor((-1, 2))
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_randomized_tables_round_trip(self, seed):
-        # seeded property sweep: random sizes, missingness and alphabets
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(0, 200))
-        numeric = rng.normal(size=n)
-        numeric[rng.random(n) < 0.2] = np.nan
-        alphabet = ["corso Dante", "via Pò", "strada häuser", "", "B&B"]
-        cat = [
-            None if rng.random() < 0.25 else alphabet[rng.integers(0, 3)]
-            for _ in range(n)
-        ]
-        text = [
-            None if rng.random() < 0.25 else alphabet[rng.integers(0, 5)]
-            for _ in range(n)
-        ]
-        table = Table(
-            [
-                Column.numeric("x", numeric),
-                Column.categorical("c", cat),
-                Column.text("s", text),
-            ]
-        )
-        with SharedTable.create(table) as shared:
-            back = attach_slice(shared.descriptor())
-            # and an arbitrary interior slice
-            lo = int(rng.integers(0, n + 1))
-            hi = int(rng.integers(lo, n + 1))
-            part = attach_slice(shared.descriptor((lo, hi)))
+    @pytest.mark.parametrize(
+        "case, transport",
+        [pytest.param(case, "shm", id=str(case)) for case in _SWEEP_CASES]
+        + [
+            pytest.param(case, "spill", id=f"spill-{case}")
+            for case in _SWEEP_CASES
+        ],
+    )
+    def test_randomized_tables_round_trip(self, case, transport, tmp_path):
+        # seeded property sweep through either transport's wire form
+        rng = np.random.default_rng(case if isinstance(case, int) else 0)
+        table = _sweep_table(case, rng)
+        n = table.n_rows
+        if transport == "shm":
+            with SharedTable.create(table) as shared:
+                back = attach_slice(shared.descriptor())
+                # and an arbitrary interior slice
+                lo = int(rng.integers(0, n + 1))
+                hi = int(rng.integers(lo, n + 1))
+                part = attach_slice(shared.descriptor((lo, hi)))
+            assert list(part["s"]) == list(table["s"][lo:hi])
+        else:
+            path = tmp_path / "sweep.spill"
+            write_spill(table, path)
+            with SpillFile.open(path) as spill:
+                back = spill.to_table()
+                # and a projected read, in a different column order
+                part = spill.to_table(["s", "x"])
+            assert part == table.select(["s", "x"])
         assert back == table
-        assert list(part["s"]) == list(text[lo:hi])
+
+
+class TestScopedAccess:
+    """A segment is reachable only inside its ``with`` block, so no
+    descriptor of an unlinked segment reaches a worker (the spill map's
+    twin tests live in ``tests/test_shards.py``)."""
+
+    def test_descriptor_before_entry_raises(self):
+        before = _segments()
+        shared = SharedTable.create(_mixed_table())
+        with pytest.raises(RuntimeError):
+            shared.descriptor()
+        with pytest.raises(RuntimeError):
+            shared.name
+        with shared:  # entering later still works, and releases the segment
+            assert attach_slice(shared.descriptor()) == _mixed_table()
+        assert _segments() == before
+
+    def test_descriptor_after_exit_raises(self):
+        with SharedTable.create(_mixed_table()) as shared:
+            pass
+        with pytest.raises(RuntimeError):
+            shared.descriptor()
+        with pytest.raises(RuntimeError):  # a released table cannot re-enter
+            shared.__enter__()
+
+    def test_with_is_the_only_release(self):
+        assert not hasattr(SharedTable, "close")
+        assert not hasattr(SharedTable, "unlink")
+        assert not hasattr(SpillFile, "close")
 
 
 class TestLifecycle:
