@@ -88,7 +88,7 @@ def main() -> None:
     print(f"    minPoints = {estimate.min_points} "
           f"(curve stabilized at k = {estimate.stabilized_at})")
     print(f"    Epsilon   = {estimate.eps:.3f} (elbow of the stable curve)")
-    print(f"    clusters  = {result.n_clusters}, multivariate noise = {result.n_noise}")
+    print(f"    multivariate noise = {result.n_noise}")
 
     # 3. clustering + per-cluster benchmarking panel
     analysis = engine.analyze(turin)

@@ -17,9 +17,10 @@ export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
 
 mkdir -p .repro-cache
 
-# the usage examples in the text and geo-distance docstrings are tests
-# too: a kernel change that breaks a documented result fails here
-python -m pytest --doctest-modules src/repro/text src/repro/geo/distance.py -q
+# the usage examples in the text, geo-distance and DBSCAN docstrings are
+# tests too: a kernel change that breaks a documented result fails here
+python -m pytest --doctest-modules src/repro/text src/repro/geo/distance.py \
+    src/repro/preprocessing/dbscan.py -q
 
 # the chaos sweep over the 8000-certificate pipeline (deselected from the
 # default run): the only suite that drives every pool — row chunks, shm

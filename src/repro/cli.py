@@ -35,16 +35,26 @@ from .faults import FaultInjector, FaultPlan
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """An argparse ``type`` for counts: a bad value is a usage error
-    (exit 2) before any work runs, not a traceback after it."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type`` for an integer in ``[low, high]``: a bad value
+    is a usage error (exit 2) before any work runs, not a traceback after it."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _int_in(1)
+_seed = _int_in(0)  # numpy's SeedSequence takes non-negative integers only
+_port = _int_in(0, 65535)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,19 +67,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write the synthetic EPC collection to CSV")
     gen.add_argument("output", type=Path, help="output CSV path")
-    gen.add_argument("--certificates", type=_positive_int, default=25000)
-    gen.add_argument("--seed", type=int, default=2322)
+    gen.add_argument("--certificates", type=_count, default=25000)
+    gen.add_argument("--seed", type=_seed, default=2322)
     gen.add_argument("--clean", action="store_true",
                      help="skip noise injection (default: dirty, like real data)")
 
     sug = sub.add_parser("suggest", help="print automatic configuration advice")
-    sug.add_argument("--certificates", type=_positive_int, default=5000)
-    sug.add_argument("--seed", type=int, default=2322)
+    sug.add_argument("--certificates", type=_count, default=5000)
+    sug.add_argument("--seed", type=_seed, default=2322)
 
     run = sub.add_parser("run", help="run the full pipeline and write a dashboard")
     run.add_argument("output", type=Path, help="output dashboard HTML path")
-    run.add_argument("--certificates", type=_positive_int, default=5000)
-    run.add_argument("--seed", type=int, default=2322)
+    run.add_argument("--certificates", type=_count, default=5000)
+    run.add_argument("--seed", type=_seed, default=2322)
     run.add_argument(
         "--stakeholder",
         choices=[s.value for s in Stakeholder],
@@ -99,16 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_perf_arguments(run)
 
     serve = sub.add_parser("serve", help="analyze once, then serve the dashboards over HTTP")
-    serve.add_argument("--certificates", type=_positive_int, default=5000)
-    serve.add_argument("--seed", type=int, default=2322)
+    serve.add_argument("--certificates", type=_count, default=5000)
+    serve.add_argument("--seed", type=_seed, default=2322)
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8350)
+    serve.add_argument("--port", type=_port, default=8350)
     serve.add_argument(
-        "--workers", type=_positive_int, default=8, metavar="N",
+        "--workers", type=_count, default=8, metavar="N",
         help="handler threads in the serving pool (default: 8)",
     )
     serve.add_argument(
-        "--max-inflight", type=_positive_int, default=64, metavar="N",
+        "--max-inflight", type=_count, default=64, metavar="N",
         help="concurrent requests admitted before load shedding kicks in "
              "(excess arrivals get 503 + Retry-After; default: 64)",
     )

@@ -1,10 +1,10 @@
 """A uniform spatial grid index over geolocated points.
 
-Both the DBSCAN region queries and the cluster-marker aggregation need
-"all points within distance eps of p" / "all points in this cell" lookups
-that would be quadratic with a naive scan.  This index buckets points into
-equal-angle lat/lon cells sized so that a radius query only has to inspect
-the 3x3 neighbourhood of the probe cell.
+The cluster-marker aggregation needs "all points within distance eps of
+p" / "all points in this cell" lookups that would be quadratic with a
+naive scan (DBSCAN's feature-space queries use a ``cKDTree`` instead).
+This index buckets points into equal-angle lat/lon cells sized so that a
+radius query only has to inspect the 3x3 neighbourhood of the probe cell.
 """
 
 from __future__ import annotations

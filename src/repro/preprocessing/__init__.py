@@ -22,7 +22,7 @@ from .outliers import (
     gesd_outliers,
     mad_outliers,
 )
-from .dbscan import NOISE, DbscanResult, dbscan
+from .dbscan import DbscanResult, dbscan
 from .kdistance import (
     KDistanceEstimate,
     elbow_point,
@@ -54,7 +54,6 @@ __all__ = [
     "detect_outliers",
     "gesd_outliers",
     "mad_outliers",
-    "NOISE",
     "DbscanResult",
     "dbscan",
     "KDistanceEstimate",

@@ -1,123 +1,63 @@
-"""DBSCAN for multivariate outlier detection.
+"""DBSCAN noise for multivariate outlier detection.
 
 "For the multivariate outlier detection, INDICE integrates the DBSCAN
 algorithm ... clusters with higher-density regions are separated by
 lower-density regions" (paper, Section 2.1.2).  Points that end up in no
-cluster — DBSCAN noise — are the multivariate outliers INDICE removes.
+cluster — DBSCAN noise — are the multivariate outliers INDICE removes,
+and the noise set is all the pipeline reads.
 
-This is a from-scratch implementation (scikit-learn is a substituted
-dependency, see DESIGN.md): classic label propagation over eps-neighbour
-graphs, with region queries served either by a KD-tree (scipy) in feature
-space or brute force for small inputs.  Features should be standardized by
-the caller; :func:`repro.analytics.kmeans.standardize` is the usual choice.
+Noise is "neither core nor within eps of a core point" (Ester et al.
+1996), which does not depend on the order clusters are expanded in, so it
+needs no neighbour graph and no cluster labels: one counting pass over a
+``cKDTree`` (scipy; scikit-learn is a substituted dependency, see
+DESIGN.md) finds the core rows, and a second counts, for the non-core
+rows only, the core rows within eps.  Both passes use the tree's
+inclusive ``<= eps`` distance test and hold O(rows) memory.  Features
+should be standardized by the caller;
+:func:`repro.analytics.kmeans.standardize` is the usual choice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["DbscanResult", "dbscan", "NOISE"]
-
-#: Cluster label assigned to noise points.
-NOISE = -1
-
-#: Rows per batched region query when building the neighbour graph.
-_GRAPH_CHUNK = 8192
-
-
-class _NeighborGraph:
-    """Chunked compact CSR of every point's eps-neighbourhood.
-
-    ``cKDTree.query_ball_point`` over the whole matrix returns one Python
-    list of Python ints per point — tens of bytes per neighbour pair,
-    which at million-row scale (where the pair count grows with density x
-    rows) dwarfs the dataset itself and is what used to dominate the
-    sharded pipeline's peak RSS.  Building the same neighbourhoods chunk
-    by chunk into flat ``int32`` arrays keeps the per-pair cost at four
-    bytes and the Python-list transient bounded by one chunk, while
-    preserving the exact per-point neighbour order the batched query
-    produces — so cluster expansion visits identical sequences and labels
-    are bit-identical to the list-of-lists formulation.
-    """
-
-    def __init__(self, tree: cKDTree, coords: np.ndarray, eps: float):
-        m = len(coords)
-        self.counts = np.zeros(m, dtype=np.intp)
-        self._flat: list[np.ndarray] = []
-        self._offsets: list[np.ndarray] = []
-        for start in range(0, m, _GRAPH_CHUNK):
-            lists = tree.query_ball_point(
-                coords[start:start + _GRAPH_CHUNK], r=eps
-            )
-            lens = np.fromiter(
-                (len(lst) for lst in lists), np.intp, count=len(lists)
-            )
-            offsets = np.zeros(len(lists) + 1, dtype=np.intp)
-            np.cumsum(lens, out=offsets[1:])
-            self._flat.append(
-                np.fromiter(
-                    chain.from_iterable(lists), np.int32,
-                    count=int(offsets[-1]),
-                )
-            )
-            self._offsets.append(offsets)
-            self.counts[start:start + len(lists)] = lens
-
-    def neighbors(self, point: int) -> np.ndarray:
-        """The eps-neighbour indices of *point* (query order preserved)."""
-        block, row = divmod(point, _GRAPH_CHUNK)
-        offsets = self._offsets[block]
-        return self._flat[block][offsets[row]:offsets[row + 1]]
+__all__ = ["DbscanResult", "dbscan"]
 
 
 @dataclass
 class DbscanResult:
-    """Labels and bookkeeping of a DBSCAN run.
+    """The noise set of a DBSCAN run.
 
-    ``labels[i]`` is the cluster id of row i (0-based) or :data:`NOISE`.
-    Rows with any NaN coordinate are labelled noise and recorded in
-    ``n_missing`` (they cannot participate in density estimates).
+    ``noise_mask[i]`` is True when row i belongs to no cluster.  Rows with
+    any NaN coordinate are noise and counted in ``n_missing`` (they cannot
+    participate in density estimates).
     """
 
-    labels: np.ndarray
+    noise_mask: np.ndarray
     eps: float
     min_points: int
-    n_missing: int = 0
-    core_mask: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-
-    @property
-    def n_clusters(self) -> int:
-        """Number of clusters found (noise excluded)."""
-        valid = self.labels[self.labels != NOISE]
-        return len(np.unique(valid)) if len(valid) else 0
-
-    @property
-    def noise_mask(self) -> np.ndarray:
-        """Boolean mask of noise rows (the multivariate outliers)."""
-        return self.labels == NOISE
+    n_missing: int
 
     @property
     def n_noise(self) -> int:
         """Number of noise points (the multivariate outliers)."""
         return int(self.noise_mask.sum())
 
-    def cluster_sizes(self) -> dict[int, int]:
-        """``{cluster_id: size}`` excluding noise."""
-        ids, counts = np.unique(self.labels[self.labels != NOISE], return_counts=True)
-        return {int(i): int(c) for i, c in zip(ids, counts)}
-
 
 def dbscan(points: np.ndarray, eps: float, min_points: int) -> DbscanResult:
-    """Run DBSCAN on an ``(n, d)`` matrix.
+    """The DBSCAN noise rows of an ``(n, d)`` matrix.
 
     ``min_points`` counts the point itself, as in the original paper [12].
     A point is *core* when its eps-ball holds at least ``min_points``
-    points; clusters grow from cores through density reachability; border
-    points join the first cluster that reaches them; the rest is noise.
+    points; a non-core point within eps of a core point is a border point;
+    the rest is noise.
+
+    >>> points = np.array([[0.0], [1.0], [2.0], [5.0]])  # 1.0 is core, self counted
+    >>> dbscan(points, eps=1.0, min_points=3).noise_mask  # 0.0, 2.0: exactly eps
+    array([False, False, False,  True])
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -127,40 +67,16 @@ def dbscan(points: np.ndarray, eps: float, min_points: int) -> DbscanResult:
     if min_points < 1:
         raise ValueError("min_points must be >= 1")
 
-    n = len(points)
-    labels = np.full(n, NOISE, dtype=np.intp)
     complete = ~np.isnan(points).any(axis=1)
-    valid_idx = np.flatnonzero(complete)
-    n_missing = n - len(valid_idx)
-    if len(valid_idx) == 0:
-        return DbscanResult(labels, eps, min_points, n_missing, np.zeros(n, dtype=bool))
-
-    coords = points[valid_idx]
-    tree = cKDTree(coords)
-    graph = _NeighborGraph(tree, coords, eps)
-    core_local = graph.counts >= min_points
-
-    core_mask = np.zeros(n, dtype=bool)
-    core_mask[valid_idx[core_local]] = True
-
-    local_labels = np.full(len(valid_idx), NOISE, dtype=np.intp)
-    cluster = 0
-    for seed in np.flatnonzero(core_local):
-        if local_labels[seed] != NOISE:
-            continue
-        # breadth-first expansion from this core point
-        local_labels[seed] = cluster
-        frontier = [seed]
-        while frontier:
-            point = frontier.pop()
-            if not core_local[point]:
-                continue
-            for nb in graph.neighbors(point):
-                if local_labels[nb] == NOISE:
-                    local_labels[nb] = cluster
-                    if core_local[nb]:
-                        frontier.append(nb)
-        cluster += 1
-
-    labels[valid_idx] = local_labels
-    return DbscanResult(labels, eps, min_points, n_missing, core_mask)
+    noise_mask = ~complete
+    n_missing = int(noise_mask.sum())
+    coords = points[complete]
+    counts = cKDTree(coords).query_ball_point(coords, r=eps, return_length=True)
+    core = counts >= min_points
+    noise = ~core
+    near_core = cKDTree(coords[core]).query_ball_point(
+        coords[noise], r=eps, return_length=True
+    )
+    noise[noise] = near_core == 0
+    noise_mask[complete] = noise
+    return DbscanResult(noise_mask, eps, min_points, n_missing)

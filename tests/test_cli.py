@@ -52,6 +52,34 @@ class TestParser:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["generate", "out.csv"], "--seed", "-1"),
+            (["suggest"], "--seed", "-1"),
+            (["run", "d.html"], "--seed", "-1"),
+            (["serve"], "--seed", "-1"),
+            (["run", "d.html"], "--seed", "x"),
+            (["serve"], "--port", "-1"),
+            (["serve"], "--port", "65536"),
+            (["serve"], "--port", "70000"),
+            (["serve"], "--port", "http"),
+        ],
+    )
+    def test_out_of_range_integers_are_usage_errors(
+        self, command, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_integer_bounds_are_inclusive(self):
+        assert build_parser().parse_args(["run", "d.html", "--seed", "0"]).seed == 0
+        for port in (0, 65535):
+            args = build_parser().parse_args(["serve", "--port", str(port)])
+            assert args.port == port
+
 
 class TestConfigFlags:
     """The perf flags of ``run`` and ``serve`` are generated from the config."""

@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.preprocessing.dbscan import NOISE, dbscan
+from repro.preprocessing.dbscan import dbscan
 from repro.preprocessing.kdistance import (
     elbow_point,
     estimate_dbscan_params,
@@ -21,50 +19,36 @@ def two_blobs(n=100, seed=0):
 
 
 class TestDbscan:
-    def test_two_blobs_two_clusters(self):
+    def test_two_blobs_no_noise(self):
         points = two_blobs()
         result = dbscan(points, eps=1.0, min_points=5)
-        assert result.n_clusters == 2
+        assert result.noise_mask.shape == (200,)
         assert result.n_noise == 0
-
-    def test_blob_members_share_label(self):
-        points = two_blobs()
-        result = dbscan(points, eps=1.0, min_points=5)
-        assert len(set(result.labels[:100])) == 1
-        assert len(set(result.labels[100:])) == 1
-        assert result.labels[0] != result.labels[150]
 
     def test_isolated_point_is_noise(self):
         points = np.vstack([two_blobs(), [[100.0, 100.0]]])
         result = dbscan(points, eps=1.0, min_points=5)
-        assert result.labels[-1] == NOISE
+        assert result.noise_mask[-1]
+        assert result.n_noise == 1
 
     def test_min_points_counts_self(self):
         # a pair of close points is a cluster when min_points=2
         points = np.array([[0.0, 0.0], [0.1, 0.0], [50.0, 50.0]])
         result = dbscan(points, eps=1.0, min_points=2)
-        assert result.labels[0] == result.labels[1] != NOISE
-        assert result.labels[2] == NOISE
+        assert result.noise_mask.tolist() == [False, False, True]
 
     def test_everything_noise_with_large_min_points(self):
         result = dbscan(two_blobs(10), eps=0.5, min_points=50)
-        assert result.n_clusters == 0
+        assert result.noise_mask.all()
         assert result.n_noise == 20
 
     def test_nan_rows_are_noise(self):
         points = two_blobs()
         points[0] = (np.nan, 0.0)
         result = dbscan(points, eps=1.0, min_points=5)
-        assert result.labels[0] == NOISE
+        assert result.noise_mask[0]
+        assert result.n_noise == 1
         assert result.n_missing == 1
-
-    def test_cluster_sizes(self):
-        result = dbscan(two_blobs(), eps=1.0, min_points=5)
-        assert sorted(result.cluster_sizes().values()) == [100, 100]
-
-    def test_core_mask_dense_points(self):
-        result = dbscan(two_blobs(), eps=1.0, min_points=5)
-        assert result.core_mask.sum() == 200
 
     def test_parameter_validation(self):
         points = two_blobs(5)
@@ -80,26 +64,6 @@ class TestDbscan:
         result = dbscan(points, eps=1.0, min_points=2)
         assert result.n_noise == 5
         assert result.n_missing == 5
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_labels_partition_points(self, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.uniform(0, 5, (80, 2))
-        result = dbscan(points, eps=0.6, min_points=4)
-        # every point is either noise or in a non-empty cluster
-        assert len(result.labels) == 80
-        sizes = result.cluster_sizes()
-        assert sum(sizes.values()) + result.n_noise == 80
-        # every cluster contains at least one core point (border points may
-        # be claimed by an earlier cluster, so size >= min_points does NOT hold)
-        for cluster_id in sizes:
-            members = result.labels == cluster_id
-            assert (members & result.core_mask).any()
-
-    def test_noise_mask_matches_labels(self):
-        result = dbscan(two_blobs(), eps=1.0, min_points=5)
-        assert np.array_equal(result.noise_mask, result.labels == NOISE)
 
 
 class TestKDistance:
@@ -143,7 +107,6 @@ class TestAutoParams:
         points = two_blobs(100)
         est = estimate_dbscan_params(points)
         result = dbscan(points, est.eps, est.min_points)
-        assert result.n_clusters == 2
         # the dense blobs should mostly survive as non-noise
         assert result.n_noise < 20
 
