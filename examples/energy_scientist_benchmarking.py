@@ -58,7 +58,11 @@ def main() -> None:
     print("[1] Univariate outlier detectors on u_value_opaque "
           f"({len(planted)} planted unit-error outliers)")
     values = dirty_table["u_value_opaque"]
-    store = ExpertConfigStore(OUTPUT_DIR / "expert_store.json")
+    # a fresh store per run: the store appends, and a rerun would
+    # otherwise record the same choice again in the committed output
+    store_path = OUTPUT_DIR / "expert_store.json"
+    store_path.unlink(missing_ok=True)
+    store = ExpertConfigStore(store_path)
     for name, result in (
         ("boxplot", boxplot_outliers(values)),
         ("gESD", gesd_outliers(values, max_outliers=80)),

@@ -17,10 +17,14 @@ export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
 
 mkdir -p .repro-cache
 
-# the usage examples in the text, geo-distance and DBSCAN docstrings are
-# tests too: a kernel change that breaks a documented result fails here
+# the usage examples in the text, geo-distance, GeoJSON, DBSCAN, SVG and
+# colour-scale docstrings are tests too: a kernel change that breaks a
+# documented result fails here (the SVG and colour examples pin that the
+# column-at-a-time `circles`, `text_rows` and `colors` give the per-row
+# bytes, NaN and a flat scale included)
 python -m pytest --doctest-modules src/repro/text src/repro/geo/distance.py \
-    src/repro/preprocessing/dbscan.py -q
+    src/repro/geo/geojson.py src/repro/preprocessing/dbscan.py \
+    src/repro/dashboard/svg.py src/repro/dashboard/colors.py -q
 
 # the chaos sweep over the 8000-certificate pipeline (deselected from the
 # default run): the only suite that drives every pool — row chunks, shm

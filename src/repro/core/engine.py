@@ -50,7 +50,7 @@ from ..faults.plan import FaultInjector
 from ..faults.policy import Deadline
 from ..geo.regions import Granularity
 from ..perf.cache import StageCache, fingerprint_table, fingerprint_value
-from ..perf.parallel import ParallelMap, feature_matrix, grouped_mean
+from ..perf.parallel import ParallelMap, feature_matrix
 from ..preprocessing.address_cleaner import AddressCleaner, CleaningReport
 from ..preprocessing.dbscan import dbscan
 from ..preprocessing.geocoder import SimulatedGeocoder
@@ -181,19 +181,11 @@ class AnalyticsOutcome:
     # of once per tab.  The same holds for every panel that does not depend
     # on the stakeholder: the three dashboards share one rendering of it.
 
-    def region_means(
-        self, region_column: str, response: str, executor=None
-    ) -> dict:
-        """Mean *response* per region (memoized; missing regions dropped).
-
-        *executor* (a :class:`~repro.perf.parallel.ParallelMap`, as the
-        engine passes when building dashboards) routes the aggregation
-        through the columnar parallel path; results are bit-identical
-        either way, so the memo never cares which path filled it.
-        """
+    def region_means(self, region_column: str, response: str) -> dict:
+        """Mean *response* per region (memoized; missing regions dropped)."""
         key = ("region_means", region_column, response)
         if key not in self._memo:
-            means = grouped_mean(self.table, region_column, response, executor)
+            means = self.table.aggregate(region_column, response, np.mean)
             means.pop(None, None)
             self._memo[key] = means
         return self._memo[key]
@@ -367,9 +359,7 @@ class Indice:
             self.log.record(stage, action, **detail)
         univariate, noise_mask, keep, pass_degraded = self._outlier_pass(
             lambda name: cleaned[name],
-            lambda kept: feature_matrix(
-                cleaned.where(kept), cfg.features, self.executor
-            ),
+            lambda kept: feature_matrix(cleaned.where(kept), cfg.features),
             cleaned.n_rows,
             deadline,
         )
@@ -465,8 +455,7 @@ class Indice:
                 budget_s=cfg.resilience.stage_timeout_s,
             )
             return univariate, None, keep, True
-        with self._logged_fallbacks("preprocessing", "the DBSCAN feature matrix"):
-            matrix, __ = standardize(kept_features(keep))
+        matrix, __ = standardize(kept_features(keep))
         estimate = estimate_dbscan_params(matrix)
         result = dbscan(matrix, estimate.eps, estimate.min_points)
         complete = ~np.isnan(matrix).any(axis=1)
@@ -555,10 +544,8 @@ class Indice:
         )
 
         kmeans_start = time.perf_counter()
+        matrix, __ = standardize(feature_matrix(table, cfg.features))
         with self._logged_fallbacks("analytics", "the K-means sweep"):
-            matrix, __ = standardize(
-                feature_matrix(table, cfg.features, self.executor)
-            )
             clustering = kmeans_auto(
                 matrix, cfg.k_range, seed=cfg.seed, n_init=cfg.kmeans_n_init,
                 executor=self.executor,
@@ -678,10 +665,7 @@ class Indice:
             region_column = (
                 "district" if level is Granularity.DISTRICT else "neighbourhood"
             )
-            with self._logged_fallbacks("visualization", "the region means"):
-                means = analytics.region_means(
-                    region_column, cfg.response, self.executor
-                )
+            means = analytics.region_means(region_column, cfg.response)
             if granularity is Granularity.NEIGHBOURHOOD:
                 # Figure 2 (upper): area averages with per-certificate markers
                 add_shared(("choropleth_with_scatter_map", level), lambda b: b.add_map(

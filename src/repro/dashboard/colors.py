@@ -98,6 +98,40 @@ class SequentialScale:
         i = min(int(t), len(self.stops) - 2)
         return interpolate_hex(self.stops[i], self.stops[i + 1], t - i)
 
+    def colors(self, values) -> list[str]:
+        """``[self.color(v) for v in values]``, a column at a time.
+
+        The same float operations run on arrays (``np.rint`` rounds half
+        to even, like ``round``), so every colour is the one :meth:`color`
+        returns.
+
+        >>> scale = SequentialScale(10.0, 30.0)
+        >>> values = [10.0, 12.5, 20.0, 27.3, 30.0, -5.0, 99.0, float("nan"), None]
+        >>> scale.colors(values) == [scale.color(v) for v in values]
+        True
+        >>> flat = SequentialScale(4.0, 4.0)
+        >>> flat.colors([4.0, 1.0, float("nan")]) == [flat.color(4.0), flat.color(1.0), "#cccccc"]
+        True
+        """
+        arr = np.asarray(values, dtype=np.float64)
+        missing = np.isnan(arr)
+        n_segments = len(self.stops) - 1
+        if self.vmax == self.vmin:
+            t = np.full(arr.shape, 0.5 * n_segments)
+        else:
+            scaled = (np.where(missing, self.vmin, arr) - self.vmin) / (self.vmax - self.vmin)
+            t = np.minimum(np.maximum(scaled, 0.0), 1.0) * n_segments
+        segment = np.minimum(t.astype(np.intp), n_segments - 1)
+        frac = np.minimum(np.maximum(t - segment, 0.0), 1.0)[:, None]
+        rgb = np.array([hex_to_rgb(stop) for stop in self.stops], dtype=np.float64)
+        low, high = rgb[segment], rgb[segment + 1]
+        channels = np.clip(np.rint(low + (high - low) * frac), 0, 255).astype(np.int64)
+        codes = (channels[:, 0] << 16 | channels[:, 1] << 8 | channels[:, 2]).tolist()
+        return [
+            self.missing_color if gap else f"#{code:06x}"
+            for code, gap in zip(codes, missing.tolist())
+        ]
+
     def legend_ticks(self, n: int = 5) -> list[tuple[float, str]]:
         """(value, color) pairs evenly spanning the domain."""
         if n < 2:

@@ -17,7 +17,7 @@ top) and switch among them when the user changes the analysis zoom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -38,13 +38,27 @@ __all__ = [
 ]
 
 
-@dataclass
 class MapRender:
-    """A rendered energy map: SVG for humans, GeoJSON for tools."""
+    """A rendered energy map: SVG for humans, GeoJSON for tools.
 
-    title: str
-    svg: str
-    geojson: dict = field(default_factory=dict)
+    *geojson* is the FeatureCollection, or a function that builds it on
+    the first read of :attr:`geojson`: dashboards embed only the SVG, so
+    they never pay for one feature dict per point.
+    """
+
+    def __init__(
+        self, title: str, svg: str, geojson: dict | Callable[[], dict] | None = None
+    ):
+        self.title = title
+        self.svg = svg
+        self._layer = {} if geojson is None else geojson
+
+    @property
+    def geojson(self) -> dict:
+        """The map's GeoJSON FeatureCollection (built on first read)."""
+        if callable(self._layer):
+            self._layer = self._layer()
+        return self._layer
 
     def save_svg(self, path) -> None:
         """Write the SVG document to *path*."""
@@ -119,8 +133,13 @@ class MapCanvas:
             **kwargs,
         )
 
-    def project(self, lat: float, lon: float) -> tuple[float, float]:
-        """(lat, lon) -> pixel (x, y); y grows downward."""
+    def project(self, lat, lon) -> tuple:
+        """(lat, lon) -> pixel (x, y); y grows downward.
+
+        Scalars or aligned coordinate arrays: arrays project elementwise
+        with the same float operations, so each pixel equals the scalar
+        projection of its point.
+        """
         lo_lat, lo_lon, hi_lat, hi_lon = self.bounds
         x = self.padding + (lon - lo_lon) / (hi_lon - lo_lon) * self._draw_w
         y = self.padding + (hi_lat - lat) / (hi_lat - lo_lat) * self._draw_h
@@ -156,6 +175,25 @@ class MapCanvas:
         doc.text(x0 + bar_w / 2, y + 24, label, size=10, anchor="middle")
 
 
+def _value_tooltips(attribute: str, values: np.ndarray) -> list[str]:
+    """The per-certificate tooltip of every value (NaN reads "missing")."""
+    return [
+        f"{attribute} = " + ("missing" if v != v else f"{v:.2f}")
+        for v in values.tolist()
+    ]
+
+
+def _region_features(regions, region_values: dict, attribute: str) -> list[dict]:
+    """One GeoJSON Polygon per region carrying its value (or ``null``)."""
+    features = []
+    for region in regions:
+        value = region_values.get(region.name, float("nan"))
+        features.append(geojson.region_feature(
+            region, {attribute: None if np.isnan(value) else value}
+        ))
+    return features
+
+
 def choropleth_map(
     hierarchy: RegionHierarchy,
     level: Granularity,
@@ -177,7 +215,6 @@ def choropleth_map(
     canvas = MapCanvas.for_regions(regions)
     scale = scale or SequentialScale.from_values(list(region_values.values()))
     doc = canvas.new_document(title)
-    features = []
     for region in regions:
         value = region_values.get(region.name, float("nan"))
         color = scale.color(value)
@@ -188,11 +225,10 @@ def choropleth_map(
         )
         doc.polygon(points, fill=color, stroke="#51606e", stroke_width=1.0,
                     opacity=0.88, title=tooltip)
-        features.append(
-            geojson.region_feature(region, {attribute: None if np.isnan(value) else value})
-        )
     canvas.draw_legend(doc, scale, attribute)
-    return MapRender(title, doc.render(), geojson.feature_collection(features))
+    return MapRender(title, doc.render(), geojson.feature_collection(
+        _region_features(regions, region_values, attribute)
+    ))
 
 
 def categorical_choropleth_map(
@@ -281,21 +317,14 @@ def scatter_map(
     if hierarchy is not None:
         for region in hierarchy.regions_at(outline_level):
             canvas.draw_region_outline(doc, region, title=region.name)
-    features = []
-    for i in keep:
-        x, y = canvas.project(float(latitudes[i]), float(longitudes[i]))
-        value = float(values[i])
-        tooltip = f"{attribute} = " + ("missing" if np.isnan(value) else f"{value:.2f}")
-        doc.circle(x, y, point_radius, fill=scale.color(value), stroke="none",
-                   opacity=0.85, title=tooltip)
-        features.append(
-            geojson.point_feature(
-                float(latitudes[i]), float(longitudes[i]),
-                {attribute: None if np.isnan(value) else value},
-            )
-        )
+    lats, lons, kept = latitudes[keep], longitudes[keep], values[keep]
+    xs, ys = canvas.project(lats, lons)
+    doc.circles(xs, ys, point_radius, scale.colors(kept), stroke="none",
+                opacity=0.85, titles=_value_tooltips(attribute, kept))
     canvas.draw_legend(doc, scale, attribute)
-    return MapRender(title, doc.render(), geojson.feature_collection(features))
+    return MapRender(title, doc.render(), lambda: geojson.feature_collection(
+        geojson.point_features(lats, lons, {attribute: kept})
+    ))
 
 
 def choropleth_with_scatter_map(
@@ -336,7 +365,6 @@ def choropleth_with_scatter_map(
     scale = SequentialScale.from_values(pool)
 
     doc = canvas.new_document(title)
-    features = []
     for region in regions:
         value = region_values.get(region.name, float("nan"))
         points = [canvas.project(lat, lon) for lat, lon in region.ring]
@@ -346,23 +374,15 @@ def choropleth_with_scatter_map(
         )
         doc.polygon(points, fill=scale.color(value), stroke="#51606e",
                     stroke_width=1.0, opacity=0.55, title=tooltip)
-        features.append(
-            geojson.region_feature(region, {attribute: None if np.isnan(value) else value})
-        )
-    for i in keep:
-        x, y = canvas.project(float(latitudes[i]), float(longitudes[i]))
-        value = float(values[i])
-        tooltip = f"{attribute} = " + ("missing" if np.isnan(value) else f"{value:.2f}")
-        doc.circle(x, y, 2.4, fill=scale.color(value), stroke="#2b3a48",
-                   stroke_width=0.4, opacity=0.95, title=tooltip)
-        features.append(
-            geojson.point_feature(
-                float(latitudes[i]), float(longitudes[i]),
-                {attribute: None if np.isnan(value) else value},
-            )
-        )
+    lats, lons, kept = latitudes[keep], longitudes[keep], values[keep]
+    xs, ys = canvas.project(lats, lons)
+    doc.circles(xs, ys, 2.4, scale.colors(kept), stroke="#2b3a48",
+                stroke_width=0.4, opacity=0.95, titles=_value_tooltips(attribute, kept))
     canvas.draw_legend(doc, scale, attribute)
-    return MapRender(title, doc.render(), geojson.feature_collection(features))
+    return MapRender(title, doc.render(), lambda: geojson.feature_collection(
+        _region_features(regions, region_values, attribute)
+        + geojson.point_features(lats, lons, {attribute: kept})
+    ))
 
 
 def cluster_marker_map(
@@ -429,28 +449,29 @@ def cluster_marker_map(
         for region in hierarchy.regions_at(outline_level):
             canvas.draw_region_outline(doc, region, title=region.name)
 
-    max_count = max((m.count for m in markers), default=1)
-    features = []
-    for marker, stroke in sorted(
-        zip(markers, strokes), key=lambda pair: -pair[0].count
-    ):
-        x, y = canvas.project(marker.latitude, marker.longitude)
-        radius = marker_radius(marker.count, max_count)
-        mean_text = "n/a" if np.isnan(marker.mean_value) else f"{marker.mean_value:.2f}"
-        tooltip = f"{marker.count} certificates; mean {attribute} = {mean_text}"
-        doc.circle(x, y, radius, fill=scale.color(marker.mean_value),
-                   stroke=stroke, stroke_width=2.0, opacity=0.92, title=tooltip)
-        if radius >= 8:
-            doc.text(x, y + 4, marker.label, size=11, anchor="middle",
-                     fill="#1c2733", weight="bold", title=tooltip)
-        features.append(
-            geojson.point_feature(
-                marker.latitude, marker.longitude,
-                {
-                    "count": marker.count,
-                    "mean_" + attribute: None if np.isnan(marker.mean_value) else marker.mean_value,
-                },
-            )
-        )
+    # largest first (a stable sort), so small markers draw on top
+    ranked = sorted(zip(markers, strokes), key=lambda pair: -pair[0].count)
+    lats = np.array([m.latitude for m, __ in ranked], dtype=np.float64)
+    lons = np.array([m.longitude for m, __ in ranked], dtype=np.float64)
+    counts = np.array([m.count for m, __ in ranked], dtype=np.int64)
+    means = np.array([m.mean_value for m, __ in ranked], dtype=np.float64)
+    xs, ys = canvas.project(lats, lons)
+    radii = marker_radius(counts, max(counts.tolist(), default=1))
+    tooltips = [
+        f"{count} certificates; mean {attribute} = "
+        + ("n/a" if mean != mean else f"{mean:.2f}")
+        for count, mean in zip(counts.tolist(), means.tolist())
+    ]
+    labels = SvgDocument.text_rows(
+        xs, ys + 4, [m.label for m, __ in ranked], size=11, anchor="middle",
+        fill="#1c2733", weight="bold", titles=tooltips,
+    )
+    doc.circles(
+        xs, ys, radii, scale.colors(means), stroke=[s for __, s in ranked],
+        stroke_width=2.0, opacity=0.92, titles=tooltips,
+        labels=[row if r >= 8 else None for row, r in zip(labels, radii.tolist())],
+    )
     canvas.draw_legend(doc, scale, f"mean {attribute}")
-    return MapRender(title, doc.render(), geojson.feature_collection(features))
+    return MapRender(title, doc.render(), lambda: geojson.feature_collection(
+        geojson.point_features(lats, lons, {"count": counts, "mean_" + attribute: means})
+    ))

@@ -84,16 +84,16 @@ def cluster_markers(
     size = CELL_KM_BY_GRANULARITY[granularity] if cell_km is None else cell_km
     valid = ~(np.isnan(latitudes) | np.isnan(longitudes))
 
+    members = np.flatnonzero(valid)
+    if not len(members):
+        return []
     if size <= 0:
         return [
-            ClusterMarker(
-                latitude=float(latitudes[i]),
-                longitude=float(longitudes[i]),
-                count=1,
-                mean_value=float(values[i]),
-                member_indices=np.asarray([i], dtype=np.intp),
+            ClusterMarker(lat, lon, 1, value, member)
+            for lat, lon, value, member in zip(
+                latitudes[members].tolist(), longitudes[members].tolist(),
+                values[members].tolist(), members[:, None],
             )
-            for i in np.flatnonzero(valid)
         ]
 
     if cell_km is not None:
@@ -108,43 +108,63 @@ def cluster_markers(
             if g >= granularity
         ]
 
-    groups: list[np.ndarray] = [
-        np.asarray([i], dtype=np.intp) for i in np.flatnonzero(valid)
-    ]
-    for level_km in levels:
-        group_lats = np.asarray([latitudes[g].mean() for g in groups])
-        group_lons = np.asarray([longitudes[g].mean() for g in groups])
-        index = GridIndex(group_lats, group_lons, cell_km=level_km)
-        groups = [
-            np.sort(np.concatenate([groups[i] for i in members]))
-            for cell, members in sorted(index.cells().items())
-        ]
+    # the groups are runs of *members*: group k is members[bounds[k]:
+    # bounds[k + 1]], ascending.  Every point starts alone, so the first
+    # level grids the points themselves (a one-row mean is the row).
+    bounds = np.arange(len(members) + 1)
+    group_lats, group_lons = latitudes[members], longitudes[members]
+    for depth, level_km in enumerate(levels):
+        if depth:
+            group_lats = _run_means(latitudes[members], bounds)
+            group_lons = _run_means(longitudes[members], bounds)
+        cell = GridIndex(group_lats, group_lons, cell_km=level_km).cell_ranks()
+        point_cell = np.repeat(cell, np.diff(bounds))
+        order = np.lexsort((members, point_cell))
+        members, point_cell = members[order], point_cell[order]
+        starts = np.flatnonzero(np.diff(point_cell)) + 1
+        bounds = np.concatenate(([0], starts, [len(members)]))
 
+    lats, lons = _run_means(latitudes[members], bounds), _run_means(longitudes[members], bounds)
+    member_values = values[members]
     markers: list[ClusterMarker] = []
-    for member_idx in groups:
-        member_values = values[member_idx]
-        present = member_values[~np.isnan(member_values)]
+    for k, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        run = member_values[lo:hi]
+        present = run[~np.isnan(run)]
         markers.append(
             ClusterMarker(
-                latitude=float(latitudes[member_idx].mean()),
-                longitude=float(longitudes[member_idx].mean()),
-                count=len(member_idx),
+                latitude=float(lats[k]),
+                longitude=float(lons[k]),
+                count=hi - lo,
                 mean_value=float(present.mean()) if len(present) else float("nan"),
-                member_indices=member_idx,
+                member_indices=members[lo:hi],
             )
         )
     return markers
 
 
-def marker_radius(count: int, max_count: int, min_px: float = 9.0, max_px: float = 26.0) -> float:
+def _run_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``values[lo:hi].mean()`` of every run between consecutive *bounds*.
+
+    Each run is summed by its own ``np.add.reduce``, the sum ``.mean()``
+    takes, then divided by its length, as ``.mean()`` divides.  A
+    ``bincount`` or ``reduceat`` would sum in another order, and the last
+    bit of a marker's position would move.
+    """
+    sums = [np.add.reduce(values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return np.array(sums, dtype=np.float64) / np.diff(bounds)
+
+
+def marker_radius(count, max_count: int, min_px: float = 9.0, max_px: float = 26.0):
     """Marker pixel radius from its cardinality (sqrt area scaling).
 
     Square-root scaling keeps marker *area* proportional to cardinality,
-    the visual convention Leaflet.markercluster follows.
+    the visual convention Leaflet.markercluster follows.  *count* may be
+    an array of counts, which gives an array of radii.
     """
-    if count < 1:
+    counts = np.asarray(count)
+    if (counts < 1).any():
         raise ValueError("count must be >= 1")
-    if max_count < count:
+    if (counts > max_count).any():
         raise ValueError("max_count must be >= count")
-    t = np.sqrt(count / max_count)
-    return float(min_px + (max_px - min_px) * t)
+    radius = min_px + (max_px - min_px) * np.sqrt(counts / max_count)
+    return float(radius) if radius.ndim == 0 else radius

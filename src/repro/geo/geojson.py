@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from .regions import Region
 
 __all__ = [
     "point_feature",
+    "point_features",
     "polygon_feature",
     "region_feature",
     "feature_collection",
@@ -31,6 +34,32 @@ def point_feature(lat: float, lon: float, properties: dict[str, Any] | None = No
         "geometry": {"type": "Point", "coordinates": [float(lon), float(lat)]},
         "properties": dict(properties or {}),
     }
+
+
+def point_features(latitudes, longitudes, properties: dict[str, Any]) -> list[dict]:
+    """One Point feature per row of aligned columns, a column at a time.
+
+    *properties* maps each property name to a column; NaN entries become
+    ``None`` (JSON ``null``).  Each feature equals the one
+    :func:`point_feature` builds from the row's Python values.
+
+    >>> features = point_features([45.0], [7.5], {"eph": [float("nan")], "cluster": ["2"]})
+    >>> features == [point_feature(45.0, 7.5, {"eph": None, "cluster": "2"})]
+    True
+    """
+    names = list(properties)
+    columns = [
+        [None if v != v else v for v in np.asarray(column).tolist()]
+        for column in properties.values()
+    ]
+    return [
+        point_feature(lat, lon, dict(zip(names, row)))
+        for lat, lon, *row in zip(
+            np.asarray(latitudes, dtype=np.float64).tolist(),
+            np.asarray(longitudes, dtype=np.float64).tolist(),
+            *columns,
+        )
+    ]
 
 
 def polygon_feature(

@@ -10,7 +10,6 @@ radius query only has to inspect the 3x3 neighbourhood of the probe cell.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
 import numpy as np
 
@@ -48,9 +47,23 @@ class GridIndex:
         self._lat_step = cell_km / per_lat
         self._lon_step = cell_km / per_lon
 
-        self._cells: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for i in np.flatnonzero(valid):
-            self._cells[self._cell_of(self.latitudes[i], self.longitudes[i])].append(int(i))
+        # cell of every valid point, then the points sorted by cell (a
+        # stable sort keeps ascending point order inside each cell)
+        points = np.flatnonzero(valid)
+        rows = np.floor(self.latitudes[points] / self._lat_step).astype(np.int64)
+        cols = np.floor(self.longitudes[points] / self._lon_step).astype(np.int64)
+        order = np.lexsort((cols, rows))
+        self._points, rows, cols = points[order], rows[order], cols[order]
+        first = np.ones(len(points), dtype=bool)  # each cell's first point
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        self._sorted_ranks = np.cumsum(first) - 1
+        bounds = np.flatnonzero(first).tolist() + [len(points)]
+        self._cells = {
+            (row, col): self._points[lo:hi].tolist()
+            for row, col, lo, hi in zip(
+                rows[first].tolist(), cols[first].tolist(), bounds, bounds[1:]
+            )
+        }
 
     def _cell_of(self, lat: float, lon: float) -> tuple[int, int]:
         return (math.floor(lat / self._lat_step), math.floor(lon / self._lon_step))
@@ -66,8 +79,21 @@ class GridIndex:
         return len(self._cells)
 
     def cells(self) -> dict[tuple[int, int], list[int]]:
-        """Mapping cell -> point indices (a copy, safe to mutate)."""
+        """Mapping cell -> point indices (a copy, safe to mutate).
+
+        Cells come in ascending (row, col) order, points ascending.
+        """
         return {k: list(v) for k, v in self._cells.items()}
+
+    def cell_ranks(self) -> np.ndarray:
+        """Per point, the rank of its cell in ascending (row, col) order.
+
+        Points with a NaN coordinate get -1.  Ranking by cell is how the
+        marker clustering groups points without a dict of lists.
+        """
+        ranks = np.full(len(self.latitudes), -1, dtype=np.int64)
+        ranks[self._points] = self._sorted_ranks
+        return ranks
 
     def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
         """(lat, lon) of the geometric centre of *cell*."""

@@ -5,9 +5,12 @@ collections, so the hot tiers get two generic accelerators:
 
 * :class:`~repro.perf.parallel.ParallelMap` — a process-pool executor with
   chunked sharding, per-worker initialized state and a serial fallback, used
-  to fan the Levenshtein-heavy address resolution out across cores; its
-  ``map_table`` path ships whole tables through one columnar shared-memory
-  block (:mod:`repro.perf.shm`) instead of pickled row chunks;
+  to fan the Levenshtein-heavy address resolution out across cores (its
+  ``map_table`` path, which ships whole tables through one columnar
+  shared-memory block, :mod:`repro.perf.shm`, instead of pickled row
+  chunks) and to run coarse tasks: the K-means sweep's fits and the
+  sharded run's shard transforms.  Cheap column work, such as
+  :func:`~repro.perf.parallel.feature_matrix`, runs serially;
 * :class:`~repro.perf.cache.StageCache` — a content-hash memo for whole
   pipeline stages, keyed on (table fingerprint, config fingerprint), so
   repeated dashboard builds and the navigable drill-down never re-run

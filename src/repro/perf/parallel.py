@@ -29,7 +29,10 @@ Design points:
   (see :mod:`repro.perf.shm`) and sends workers only ``(shm_name,
   col_specs, row_range)`` descriptors, so the per-chunk IPC payload is a
   few hundred bytes regardless of row count — the fix for the pickle
-  serialization tax that capped ``map`` at 2 useful workers;
+  serialization tax that capped ``map`` at 2 useful workers.  Address
+  resolution is its one caller: work that takes milliseconds serially
+  (the feature matrix, group means) stays inline, because a pool
+  round-trip costs tens of milliseconds;
 * **coarse tasks** — :meth:`ParallelMap.map_tasks` runs a handful of
   expensive independent units (a shard transform, one K of the elbow
   sweep) one per chunk, through the same pool routine, so all three maps
@@ -38,7 +41,6 @@ Design points:
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 import time
@@ -49,11 +51,11 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..dataset.table import ColumnKind, Table, TableError
+from ..dataset.table import Table
 from ..faults.plan import PARALLEL_WORKER, FaultInjector, FaultKind, WorkerCrashError
 from .shm import SharedTable, TableSlice, attach_slice
 
-__all__ = ["ParallelMap", "feature_matrix", "grouped_mean"]
+__all__ = ["ParallelMap", "feature_matrix"]
 
 #: Below this many items the process pool costs more than it saves.
 DEFAULT_MIN_PARALLEL_ITEMS = 512
@@ -81,91 +83,15 @@ def _run_chunk(payload: tuple[Callable[[Any], Any], list, str | None]) -> list:
     return [func(item) for item in chunk]
 
 
-def _matrix_rows_chunk(names: tuple[str, ...], chunk: Table) -> list:
-    """One float feature row-vector per row of *chunk* (runs in a worker).
+def feature_matrix(table: Table, names: Sequence[str]) -> np.ndarray:
+    """``table.to_matrix(names)``: the feature matrix DBSCAN and K-means read.
 
-    Module-level (not a lambda/closure) so the parallel path can pickle
-    it — the PAR001 contract.
+    Serial on purpose.  Copying a few float columns takes well under a
+    millisecond at 8k rows, while a pool round-trip (shared-memory encode,
+    worker start, result pickling) costs tens of milliseconds for the
+    same bit-identical matrix.
     """
-    return list(chunk.to_matrix(list(names)))
-
-
-def _group_pairs_chunk(by: str, name: str, chunk: Table) -> list:
-    """One ``(group key, value)`` pair per row of *chunk* (worker side).
-
-    Key normalization mirrors :meth:`Table.group_indices` exactly (NaN
-    numeric keys become ``None``), so the parent-side regroup reproduces
-    :meth:`Table.aggregate` bit-for-bit.
-    """
-    key_col = chunk.column(by)
-    if key_col.kind is ColumnKind.NUMERIC:
-        keys = [None if np.isnan(v) else float(v) for v in key_col.values]
-    else:
-        keys = list(key_col.values)
-    return list(zip(keys, chunk.column(name).values))
-
-
-def _project(table: Table, names: Iterable[str]) -> Table:
-    """*table* cut down to *names* (first occurrence of each kept), the
-    only columns a chunk function reads — all ``map_table`` should ship."""
-    return table.select(list(dict.fromkeys(names)))
-
-
-def feature_matrix(
-    table: Table,
-    names: Sequence[str],
-    executor: "ParallelMap | None" = None,
-) -> np.ndarray:
-    """``table.to_matrix(names)`` through the columnar parallel path.
-
-    Each worker decodes only its shared-memory row slice and returns its
-    float rows; the parent stacks them back in row order, so the result is
-    bit-identical to the serial ``to_matrix`` (same float64 copies, same
-    layout).  With no executor — or below the parallel threshold — this
-    *is* the serial ``to_matrix``.
-    """
-    if executor is None or not executor.should_parallelize(table.n_rows):
-        return table.to_matrix(list(names))
-    rows = executor.map_table(
-        functools.partial(_matrix_rows_chunk, tuple(names)),
-        _project(table, names),
-    )
-    return np.vstack(rows)
-
-
-def grouped_mean(
-    table: Table,
-    by: str,
-    name: str,
-    executor: "ParallelMap | None" = None,
-) -> dict:
-    """``table.aggregate(by, name, np.mean)`` through the parallel path.
-
-    Workers emit ``(group key, value)`` pairs per row; the parent regroups
-    them in row order (so first-appearance key order is preserved), drops
-    NaN values and takes one ``np.mean`` per group over the *whole* group
-    — never a mean of partial means — which keeps the result bit-identical
-    to the serial aggregate.  Empty groups map to ``nan``, like
-    :meth:`Table.aggregate`.
-    """
-    if executor is None or not executor.should_parallelize(table.n_rows):
-        return table.aggregate(by, name, np.mean)
-    if table.column(name).kind is not ColumnKind.NUMERIC:
-        # same contract as Table.aggregate
-        raise TableError(f"aggregate expects a numeric column, got {name!r}")
-    pairs = executor.map_table(
-        functools.partial(_group_pairs_chunk, by, name),
-        _project(table, (by, name)),
-    )
-    groups: dict[Any, list] = {}
-    for key, value in pairs:
-        groups.setdefault(key, []).append(value)
-    out: dict[Any, float] = {}
-    for key, values in groups.items():
-        arr = np.asarray(values, dtype=np.float64)
-        arr = arr[~np.isnan(arr)]
-        out[key] = float(np.mean(arr)) if len(arr) else float("nan")
-    return out
+    return table.to_matrix(list(names))
 
 
 def _run_table_chunk(

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from ..checks import effectaudit as _effectaudit
 from ..checks import lockdep as _lockdep
@@ -251,19 +252,14 @@ def render_points_geojson(engine: Indice) -> str:
     response_name = engine.config.response
     lat = table["latitude"]
     lon = table["longitude"]
-    response = table[response_name]
-    clusters = table["cluster"]
-    features = []
-    for i in range(table.n_rows):
-        if math.isnan(lat[i]) or math.isnan(lon[i]):  # unlocated
-            continue
-        value = None if math.isnan(response[i]) else float(response[i])
-        features.append(
-            geojson.point_feature(
-                float(lat[i]), float(lon[i]),
-                {response_name: value, "cluster": clusters[i]},
-            )
-        )
+    located = ~(np.isnan(lat) | np.isnan(lon))
+    features = geojson.point_features(
+        lat[located], lon[located],
+        {
+            response_name: table[response_name][located],
+            "cluster": table["cluster"][located],
+        },
+    )
     return geojson.dumps(geojson.feature_collection(features))
 
 

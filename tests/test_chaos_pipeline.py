@@ -19,6 +19,7 @@ Every plan is a plain ``--fault-plan`` spec string, so any failing sweep
 case reproduces from the CLI verbatim.
 """
 
+import sys
 import threading
 
 import pytest
@@ -31,6 +32,7 @@ from repro.dataset import (
     generate_epc_collection,
 )
 from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
+from repro.perf import ParallelMap
 from repro.perf.cache import fingerprint_table
 
 SMOKE_N = 1200
@@ -224,9 +226,9 @@ class TestChaosSmoke:
 # ---------------------------------------------------------------------------
 
 #: ``parallel.worker`` arrivals of the smoke pipeline plus one district
-#: dashboard: address resolution, the K-means feature matrix, one task per
-#: K of the sweep and the region means.
-SMOKE_WORKER_ARRIVALS = 27
+#: dashboard: the eight address-resolution slices and one task per K of
+#: the sweep.  The feature matrices and the region means are serial.
+SMOKE_WORKER_ARRIVALS = 11
 
 
 def _run_pipeline_and_dashboard(collection, injector):
@@ -243,6 +245,25 @@ class TestFallbacksAreLogged:
         injector = FaultInjector(FaultPlan.parse("parallel.worker:crash*0"))
         _run_pipeline_and_dashboard(smoke_collection, injector)
         assert injector.arrivals("parallel.worker") == SMOKE_WORKER_ARRIVALS
+
+    def test_only_address_resolution_ships_tables(self, smoke_collection, monkeypatch):
+        """The pipeline and a dashboard reach ``map_table`` only to resolve
+        addresses: feature matrices and region means never pay a pool."""
+        callers = []
+        map_table = ParallelMap.map_table
+
+        def spy(self, *args, **kwargs):
+            caller = sys._getframe(1)
+            callers.append(
+                (caller.f_globals["__name__"], caller.f_code.co_name)
+            )
+            return map_table(self, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelMap, "map_table", spy)
+        _run_pipeline_and_dashboard(smoke_collection, None)
+        assert callers == [
+            ("repro.preprocessing.address_cleaner", "_resolve_distinct")
+        ]
 
     @pytest.mark.parametrize("after", range(SMOKE_WORKER_ARRIVALS))
     def test_crash_at_any_arrival_is_logged(

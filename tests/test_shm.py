@@ -18,6 +18,7 @@ Four concerns, mirroring the codec's contract:
   pickled rows they replace.
 """
 
+import functools
 import os
 import pickle
 
@@ -27,7 +28,7 @@ import pytest
 from repro.dataset.table import Column, Table
 from repro.faults import FaultInjector, FaultPlan
 from repro.perf import ParallelMap, SharedTable, TableSlice, attach_slice
-from repro.perf.parallel import feature_matrix, grouped_mean
+from repro.perf.parallel import feature_matrix
 from repro.perf.shm import encode_table
 from repro.perf.spill import SpillFile, write_spill
 
@@ -393,16 +394,20 @@ def _wide_table(n: int = 600) -> Table:
     )
 
 
-def _same_aggregate(got: dict, want: dict) -> bool:
-    return list(got) == list(want) and all(
-        (np.isnan(got[k]) and np.isnan(want[k])) or got[k] == want[k]
-        for k in want
-    )
+def _matrix_rows(names: tuple, chunk: Table) -> list:
+    return list(chunk.to_matrix(list(names)))
+
+
+def _key_value_pairs(by: str, name: str, chunk: Table) -> list:
+    """The ``(group key, value)`` rows a grouped mean reads."""
+    return list(zip(chunk[by].tolist(), chunk[name].tolist()))
 
 
 class TestColumnProjection:
-    """``feature_matrix`` and ``grouped_mean`` ship only the columns their
-    chunk functions read, and still equal the serial results."""
+    """``map_table`` encodes exactly the columns of the table it is handed,
+    so a caller that passes a ``select`` of the columns its chunk function
+    reads (as address resolution does) ships only those; the per-row
+    results over the projection equal the serial ones."""
 
     @staticmethod
     def _encoded_size(table: Table, names: list[str]) -> int:
@@ -413,23 +418,26 @@ class TestColumnProjection:
     )
     def test_feature_matrix_ships_projected_columns(self, names):
         table = _wide_table()
+        read = list(dict.fromkeys(names))
         executor = ParallelMap(n_jobs=2, min_parallel_items=8)
-        got = feature_matrix(table, names, executor)
-        assert executor.fallbacks == 0
-        np.testing.assert_array_equal(got, table.to_matrix(names))
-        assert executor.shm_bytes == self._encoded_size(
-            table, list(dict.fromkeys(names))
+        rows = executor.map_table(
+            functools.partial(_matrix_rows, tuple(names)), table.select(read)
         )
+        assert executor.fallbacks == 0
+        np.testing.assert_array_equal(np.vstack(rows), feature_matrix(table, names))
+        assert executor.shm_bytes == self._encoded_size(table, read)
 
     @pytest.mark.parametrize(
         "by, name", [("district", "a"), ("g", "b"), ("a", "a"), ("g", "g")]
     )
     def test_grouped_mean_ships_projected_columns(self, by, name):
         table = _wide_table()
+        read = list(dict.fromkeys([by, name]))
         executor = ParallelMap(n_jobs=2, min_parallel_items=8)
-        got = grouped_mean(table, by, name, executor)
-        assert executor.fallbacks == 0
-        assert _same_aggregate(got, table.aggregate(by, name, np.mean))
-        assert executor.shm_bytes == self._encoded_size(
-            table, list(dict.fromkeys([by, name]))
+        pairs = executor.map_table(
+            functools.partial(_key_value_pairs, by, name), table.select(read)
         )
+        assert executor.fallbacks == 0
+        # repr: NaN keys and values compare equal as text
+        assert repr(pairs) == repr(_key_value_pairs(by, name, table))
+        assert executor.shm_bytes == self._encoded_size(table, read)
