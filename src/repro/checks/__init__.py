@@ -21,7 +21,7 @@ them drifts:
 code       name                         contract
 =========  ===========================  =========================================
 DET001     unseeded-rng                 determinism: no hidden global RNG state
-DET002     wall-clock                   determinism: no entropy/wall-clock inputs
+DET002     wall-clock                   determinism: no entropy/clock/env inputs
 DET003     unordered-iteration          determinism: no hash-order in outputs
 FAULT001   fault-site-parity            faults: registered sites <-> inject hooks
 EXC001     silent-broad-except          faults: recover loudly or re-raise
@@ -34,32 +34,18 @@ PAR001     unpicklable-or-stale-capture fork-safety: workers pickle cleanly and
                                         receive state via initializer/initargs
 PAR002     worker-side-mutation         fork-safety: workers return, never write
 IMP001     import-cycle                 architecture: the module graph is a DAG
-LOCK002    lock-order-cycle             concurrency: the cross-module lock graph
-                                        is acyclic (no ABBA deadlock)
-LOCK003    inconsistent-guard           concurrency: attributes mutated under a
-                                        lock are never mutated outside it
-LOCK004    blocking-call-under-lock     concurrency: no IO/sleep/render while
-                                        holding a lock (latency convoy)
-CACHE002   unfingerprinted-cache-read   effects: a cached stage or render never
-                                        reads state its key did not fingerprint
-DET004     tainted-serialized-sink      effects: no clock/RNG/set-order taint
-                                        reaches a serialized sink interprocedurally
-FAULT002   non-idempotent-retry         effects: retried callables are replay-safe
-                                        (no appends or global writes)
-PURE001    impure-worker                effects: pool workers return values, never
-                                        write state across a module boundary
+LOCK003    inconsistent-guard           concurrency: attributes written under a
+                                        class's lock are never written bare
 =========  ===========================  =========================================
 
-The static story has a dynamic twin: :mod:`.lockdep` wraps the serving
-tier's real locks (``REPRO_SANITIZE_LOCKS=1`` or ``repro serve
---sanitize-locks``) and raises on the first *attempted* lock-order
-inversion or fork-while-held at runtime — the observed order graph
-cross-checks what LOCK002 proved statically.  The effect rules have the
-same twin: :mod:`.effectaudit` (``REPRO_AUDIT_EFFECTS=1`` or ``repro run
---audit-effects``) records every ambient read inside the cached-stage
-and render regions, raises on the first un-fingerprinted ``os.environ``
-read, and the recorded sets are asserted to be a subset of what the
-:class:`~repro.checks.effects.EffectModel` summarized statically.
+Lock order is structural rather than policed: the serving tier never
+holds a lock across a render or inside another lock (single-flight
+renders claim a key in an in-flight map and render with no lock held,
+see :mod:`repro.serving.store`), so only the per-class guard rule
+(LOCK003) remains.  Ambient inputs are flagged where they are
+read: DET002 covers ``os.environ`` / ``os.getenv`` / ``os.putenv`` next
+to the clock and entropy calls.  Runtime code imports nothing from this
+package.
 
 Run it with ``python -m repro.checks src/repro`` (or ``repro check``);
 suppress an intentional site with ``# repro: noqa[RULE] — justification``.
@@ -70,10 +56,6 @@ from .baseline import Baseline
 from .cache import AnalysisCache, analysis_fingerprint
 from .checker import Checker, CheckResult, check_tree, collect_python_files
 from .cli import main
-from .concurrency import ConcurrencyModel, extract_concurrency
-from .effectaudit import EffectAudit, EffectAuditError
-from .effects import EffectModel, extract_effects
-from .lockdep import LockDep, LockOrderError, SanitizedLock
 from .model import Finding, Rule, SourceFile, all_rules, register, rule_codes
 from .pragmas import PragmaIndex, parse_pragmas
 from .project import FileSummary, ProjectIndex, extract_facts, module_name_for
@@ -84,15 +66,8 @@ __all__ = [
     "Baseline",
     "Checker",
     "CheckResult",
-    "ConcurrencyModel",
-    "EffectAudit",
-    "EffectAuditError",
-    "EffectModel",
     "FileSummary",
     "Finding",
-    "LockDep",
-    "LockOrderError",
-    "SanitizedLock",
     "PragmaIndex",
     "ProjectIndex",
     "Rule",
@@ -101,8 +76,6 @@ __all__ = [
     "analysis_fingerprint",
     "check_tree",
     "collect_python_files",
-    "extract_concurrency",
-    "extract_effects",
     "extract_facts",
     "main",
     "module_name_for",

@@ -178,7 +178,7 @@ def _explain_rule(code: str, out: TextIO) -> None:
 def _select_rules(spec: str) -> list:
     """Rules named by a comma-separated spec; each entry may be a glob.
 
-    ``--select LOCK002,DET002`` names codes exactly; ``--select 'LOCK*'``
+    ``--select COL002,DET002`` names codes exactly; ``--select 'COL*'``
     or ``--select '*002'`` selects by ``fnmatch`` pattern.  An entry that
     matches nothing — literal or pattern — is a :class:`UsageError`
     listing the valid codes, so a typo never silently runs zero rules.

@@ -27,8 +27,6 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .concurrency import extract_concurrency
-from .effects import extract_effects
 from .lineage import extract_lineage
 
 __all__ = [
@@ -40,7 +38,7 @@ __all__ = [
 ]
 
 #: Bump when the facts schema changes so cached summaries invalidate.
-FACTS_VERSION = 6
+FACTS_VERSION = 7
 
 #: Attribute methods whose first argument names a fault-injection site.
 _HOOK_METHODS = ("arrive", "fire")
@@ -51,7 +49,7 @@ _EXECUTOR_TYPES = frozenset({"ParallelMap", "ProcessPoolExecutor"})
 _EXECUTOR_NAMES = frozenset({"executor"})
 
 #: Container methods that mutate their receiver in place.
-_MUTATOR_METHODS = frozenset(
+MUTATOR_METHODS = frozenset(
     {
         "append", "extend", "insert", "add", "update", "setdefault",
         "pop", "popitem", "remove", "discard", "clear", "appendleft",
@@ -196,7 +194,7 @@ class _FunctionFacts(ast.NodeVisitor):
         if isinstance(node.func, ast.Name):
             self.calls.add(node.func.id)
         elif isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATOR_METHODS and isinstance(
+            if node.func.attr in MUTATOR_METHODS and isinstance(
                 node.func.value, ast.Name
             ):
                 name = node.func.value.id
@@ -216,10 +214,7 @@ def extract_facts(tree: ast.Module) -> dict:
         "hook_calls": [],
         "functions": {},
         "map_calls": [],
-        "map_table_calls": [],
         "lineage": extract_lineage(tree),
-        "concurrency": extract_concurrency(tree),
-        "effects": extract_effects(tree),
     }
 
     # -- module-exec-time imports (skip function bodies: lazy imports are a
@@ -325,8 +320,8 @@ def extract_facts(tree: ast.Module) -> dict:
 
 
 def _extract_executor_facts(tree: ast.Module, facts: dict) -> None:
-    """Executor submissions: ``<executor>.map`` / ``.map_table`` /
-    ``.map_tasks`` calls."""
+    """Executor submissions: ``<executor>.map`` / ``.map_tasks`` calls
+    (``map_tasks`` applies its func to whole items, exactly like ``map``)."""
     executor_names: set[str] = set(_EXECUTOR_NAMES)
     for node in ast.walk(tree):
         targets: list[ast.expr] = []
@@ -363,7 +358,7 @@ def _extract_executor_facts(tree: ast.Module, facts: dict) -> None:
             continue
         func = node.func
         if not isinstance(func, ast.Attribute) or func.attr not in (
-            "map", "map_table", "map_tasks"
+            "map", "map_tasks"
         ):
             continue
         receiver = func.value
@@ -385,31 +380,10 @@ def _extract_executor_facts(tree: ast.Module, facts: dict) -> None:
         elif isinstance(submitted, ast.Name):
             entry["func"] = submitted.id
             entry["kind"] = "nested" if nesting.get(submitted.id) else "name"
-        elif (
-            isinstance(submitted, ast.Call)
-            and isinstance(
-                submitted.func, (ast.Name, ast.Attribute)
-            )
-            and (
-                submitted.func.id
-                if isinstance(submitted.func, ast.Name)
-                else submitted.func.attr
-            )
-            == "partial"
-            and submitted.args
-            and isinstance(submitted.args[0], ast.Name)
-        ):
-            # `functools.partial(worker, ...)` submits `worker` with bound
-            # leading arguments — the effect rules treat it as the worker
-            entry["func"] = submitted.args[0].id
-            entry["kind"] = "partial"
         for kw in node.keywords:
             if kw.arg == "initializer" and isinstance(kw.value, ast.Name):
                 entry["initializer"] = kw.value.id
-        # map_tasks applies its func to whole items, exactly like map
-        facts[
-            "map_table_calls" if func.attr == "map_table" else "map_calls"
-        ].append(entry)
+        facts["map_calls"].append(entry)
 
 
 @dataclass

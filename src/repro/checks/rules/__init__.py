@@ -8,29 +8,25 @@ Modules group rules by the contract they defend:
 * :mod:`.crossmodule` — COL001/COL002/COL003 (column lineage),
   PAR001/PAR002 (ParallelMap fork-safety), IMP001 (import cycles);
 * :mod:`.hygiene` — EXC001 (silent broad except), MUT001 (mutable
-  defaults), FLOAT001 (float equality);
-* :mod:`.concurrency` — LOCK002 (lock-order cycle), LOCK003
-  (inconsistent guard), LOCK004 (blocking call under lock);
-* :mod:`.effects` — CACHE002 (un-fingerprinted cache read), DET004
-  (tainted serialized sink), FAULT002 (non-idempotent retry), PURE001
-  (impure cross-module worker), all over the interprocedural
-  :class:`~repro.checks.effects.EffectModel`.
+  defaults), FLOAT001 (float equality), LOCK003 (an attribute written
+  both under its class's lock and bare).
+
+Lock order and cache soundness are structural rather than policed: the
+serving tier never holds a lock across a render or inside another lock
+(see :mod:`repro.serving.store`), and an ambient environment read is a
+DET002 finding at its read site.
 """
 
 from . import (
-    concurrency,
     contracts,
     crossmodule,
     determinism,
-    effects,
     hygiene,
 )
 
 __all__ = [
-    "concurrency",
     "contracts",
     "crossmodule",
     "determinism",
-    "effects",
     "hygiene",
 ]

@@ -6,10 +6,11 @@ config)``.  These rules fail the build when entropy leaks in:
 
 * **DET001** — module-level RNG (``random.*`` / ``numpy.random.*``)
   instead of an explicitly seeded ``Generator`` / ``Random`` instance;
-* **DET002** — wall-clock or entropy reads (``time.time``,
-  ``datetime.now``, ``uuid4``, ``os.urandom``, ``secrets``) in pipeline
-  code (``time.perf_counter`` / ``monotonic`` stay allowed: they feed
-  timing counters, never results);
+* **DET002** — wall-clock, entropy or environment reads
+  (``time.time``, ``datetime.now``, ``uuid4``, ``os.urandom``,
+  ``secrets``, ``os.environ``, ``os.getenv``) in pipeline code
+  (``time.perf_counter`` / ``monotonic`` stay allowed: they feed timing
+  counters, never results);
 * **DET003** — materializing an unordered ``set`` into ordered data
   (iteration, ``list(...)``, ``join``) without sorting first — set order
   depends on ``PYTHONHASHSEED``, so it differs across processes.
@@ -102,22 +103,41 @@ _FORBIDDEN_CALLS = frozenset(
 )
 
 
+#: The process environment: any reference to these reads (or writes)
+#: ambient state that neither a config fingerprint nor a seed covers.
+_ENVIRONMENT = frozenset(
+    {"os.environ", "os.environb", "os.getenv", "os.getenvb", "os.putenv",
+     "os.unsetenv"}
+)
+
+
 @register
 class WallClock(Rule):
-    """DET002 — wall-clock or OS-entropy reads in pipeline code."""
+    """DET002 — wall-clock, OS-entropy or environment reads in pipeline code."""
 
     code = "DET002"
     name = "wall-clock"
     rationale = (
         "pipeline outputs must be pure functions of (data, config, seed); "
-        "wall-clock/entropy reads make reruns diverge (perf_counter for "
-        "timing counters is fine)"
+        "wall-clock/entropy/environment reads make reruns diverge and slip "
+        "past cache fingerprints (perf_counter for timing counters is fine)"
     )
 
     def check_file(self, file: SourceFile) -> Iterator[Finding]:
-        """Flag calls into the forbidden wall-clock/entropy list."""
+        """Flag the forbidden wall-clock/entropy calls and every
+        reference to the process environment."""
         table = ImportTable(file.tree)
         for node in ast.walk(file.tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                dotted = table.resolve(node)
+                if dotted in _ENVIRONMENT:
+                    yield Finding(
+                        file.display, node.lineno, node.col_offset, self.code,
+                        f"{dotted} touches the process environment; pass "
+                        "the value in through the config (and its "
+                        "fingerprint) instead",
+                    )
+                continue
             if not isinstance(node, ast.Call):
                 continue
             dotted = table.resolve(node.func)

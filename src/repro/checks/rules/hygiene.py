@@ -1,4 +1,4 @@
-"""Hygiene rules: failure handling and numeric comparisons.
+"""Hygiene rules: failure handling, numeric comparisons, lock guards.
 
 * **EXC001** — a bare / ``except Exception`` / ``except BaseException``
   handler that neither re-raises nor records a provenance degradation
@@ -8,7 +8,9 @@
   classic source of run-order-dependent results;
 * **FLOAT001** — ``==`` / ``!=`` between float expressions is
   representation-dependent; analytics code must compare with tolerances
-  (``math.isclose`` / ``numpy.isclose``) or on exact integer surrogates.
+  (``math.isclose`` / ``numpy.isclose``) or on exact integer surrogates;
+* **LOCK003** — an attribute a class writes under one of its own locks
+  on some path and bare on another is only protected on the locked path.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..imports import ImportTable
 from ..model import Finding, Rule, SourceFile, register
+from ..project import MUTATOR_METHODS
 
-__all__ = ["BroadExcept", "MutableDefault", "FloatEquality"]
+__all__ = ["BroadExcept", "MutableDefault", "FloatEquality", "InconsistentGuard"]
 
 _BROAD_NAMES = frozenset({"Exception", "BaseException"})
 
@@ -168,4 +172,109 @@ class FloatEquality(Rule):
                         "==/!= between float expressions; use math.isclose/"
                         "numpy.isclose, an ordered comparison, or compare "
                         "exact integer surrogates",
+                    )
+
+
+#: Constructors whose result a class uses as a lock.
+_LOCK_TYPES = frozenset(
+    {
+        "threading.Lock", "threading.RLock", "threading.Condition",
+        "threading.Semaphore", "threading.BoundedSemaphore",
+    }
+)
+
+
+def _self_attr(node: ast.expr) -> str | None:
+    """``X`` for ``self.X`` and for anything indexed off it (``self.X[k]``)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _writes(stmts, locks: set[str], held: bool):
+    """``(attribute, node, held)`` for each ``self`` attribute write in
+    *stmts*; *held* is whether one of *locks* is held (``with self.L:``).
+    Nested functions run later, under unknown locks, and are skipped."""
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            inner = held or any(
+                _self_attr(item.context_expr) in locks for item in stmt.items
+            )
+            yield from _writes(stmt.body, locks, inner)
+            continue
+        targets: list[ast.expr] = []
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+            targets = [stmt.target]
+        elif isinstance(stmt, ast.Delete):
+            targets = stmt.targets
+        elif (
+            isinstance(stmt, ast.Expr)
+            and isinstance(stmt.value, ast.Call)
+            and isinstance(stmt.value.func, ast.Attribute)
+            and stmt.value.func.attr in MUTATOR_METHODS
+        ):
+            targets = [stmt.value.func.value]
+        for target in targets:
+            attr = _self_attr(target)
+            if attr is not None and attr not in locks:
+                yield attr, target, held
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _writes(getattr(stmt, field, ()), locks, held)
+
+
+@register
+class InconsistentGuard(Rule):
+    """LOCK003 — an attribute mutated both under and outside its lock."""
+
+    code = "LOCK003"
+    name = "inconsistent-guard"
+    rationale = (
+        "an attribute a class mutates under its own lock on some paths "
+        "and bare on others is only protected on the locked path; the "
+        "bare write races every locked reader once threads share the "
+        "instance (__init__ is exempt: nothing shares it yet)"
+    )
+
+    def check_file(self, file: SourceFile) -> Iterator[Finding]:
+        """Flag bare writes to attributes the class also writes locked."""
+        table = ImportTable(file.tree)
+        for cls in ast.walk(file.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            locks = {
+                attr
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and table.resolve(node.value.func) in _LOCK_TYPES
+                for attr in map(_self_attr, node.targets)
+                if attr is not None
+            }
+            if not locks:
+                continue
+            writes = [
+                write
+                for method in cls.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and method.name != "__init__"
+                for write in _writes(method.body, locks, held=False)
+            ]
+            guarded = {attr for attr, __, held in writes if held}
+            for attr, node, held in writes:
+                if not held and attr in guarded:
+                    yield Finding(
+                        file.display, node.lineno, node.col_offset, self.code,
+                        f"self.{attr} is written under the class's lock "
+                        "elsewhere but bare here; take the lock for this "
+                        "write too",
                     )

@@ -15,7 +15,6 @@ Every command is seeded and offline; see ``python -m repro --help``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -94,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--auto-config", action="store_true",
                      help="let the advisor pick the analysis configuration")
     run.add_argument(
-        "--audit-effects", action="store_true",
-        help="instrument env/clock/RNG access during the cached stages "
-             "(raises on an un-fingerprinted read; also honored via the "
-             "REPRO_AUDIT_EFFECTS environment variable)",
-    )
-    run.add_argument(
         "--shards", default=None, metavar="SCHEME",
         help="run the pipeline sharded with out-of-core merge: "
              "'by-district', 'by-zip' or a shard count; results are "
@@ -126,18 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-prerender", action="store_true",
         help="render artifacts lazily on first hit (coalesced) instead of "
              "all at startup",
-    )
-    serve.add_argument(
-        "--sanitize-locks", action="store_true",
-        help="instrument the serving locks with the lockdep sanitizer "
-             "(raises on lock-order inversion; also honored via the "
-             "REPRO_SANITIZE_LOCKS environment variable)",
-    )
-    serve.add_argument(
-        "--audit-effects", action="store_true",
-        help="instrument env/clock/RNG access during stage and render "
-             "execution (raises on an un-fingerprinted read; also honored "
-             "via the REPRO_AUDIT_EFFECTS environment variable)",
     )
     _add_perf_arguments(serve)
 
@@ -217,10 +198,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     granularity = (
         Granularity[args.granularity.upper()] if args.granularity else None
     )
-    if args.audit_effects:
-        # the env flag (not a parameter chain) arms the auditor so every
-        # audited region — engine stages, store renders — sees it
-        os.environ["REPRO_AUDIT_EFFECTS"] = "1"
     if args.shards:
         # sharded tier: shards are generated/cleaned one at a time, so
         # the full collection is never resident (no _make_collection)
@@ -259,11 +236,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if degradations:
         print(f"\n{len(degradations)} degradation(s) under fault injection "
               "— see the provenance steps above")
-    if args.audit_effects:
-        from .checks import effectaudit as _effectaudit
-
-        print("\neffect audit (observed ambient reads per stage):")
-        print(_effectaudit.DEFAULT.describe())
     print(f"\ndashboard written to {path}")
     return 0
 
@@ -271,12 +243,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serving import ArtifactServer, build_store
 
-    if args.sanitize_locks:
-        # the env flag (not a parameter chain) arms the sanitizer so every
-        # lock construction site — store, server, stage cache — sees it
-        os.environ["REPRO_SANITIZE_LOCKS"] = "1"
-    if args.audit_effects:
-        os.environ["REPRO_AUDIT_EFFECTS"] = "1"
     collection = _make_collection(args.certificates, args.seed, dirty=True)
     engine = Indice(
         collection, _apply_perf_arguments(IndiceConfig(), args),

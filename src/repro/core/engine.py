@@ -45,7 +45,6 @@ from ..dashboard.maps import (
     cluster_marker_map,
     scatter_map,
 )
-from ..checks import effectaudit as _effectaudit
 from ..faults.plan import FaultInjector
 from ..faults.policy import Deadline
 from ..geo.regions import Granularity
@@ -303,7 +302,6 @@ class Indice:
     # Tier 1: data pre-processing
     # ------------------------------------------------------------------
 
-    @_effectaudit.audited("preprocess")
     def preprocess(self, table: Table | None = None) -> PreprocessingOutcome:
         """Clean geospatial attributes, then drop outlier rows.
 
@@ -507,7 +505,6 @@ class Indice:
         )
         return result.table
 
-    @_effectaudit.audited("analyze")
     def analyze(self, table: Table | None = None) -> AnalyticsOutcome:
         """Correlation check, clustering, discretization and rule mining."""
         cfg = self.config

@@ -122,7 +122,7 @@ class MapCanvas:
         """A canvas framing the located points with a small margin."""
         lat = np.asarray(latitudes, dtype=np.float64)
         lon = np.asarray(longitudes, dtype=np.float64)
-        keep = ~(np.isnan(lat) | np.isnan(lon))
+        keep = np.isfinite(lat) & np.isfinite(lon)
         lat, lon = lat[keep], lon[keep]
         if len(lat) == 0:
             raise ValueError("no located points to frame")
@@ -303,7 +303,7 @@ def scatter_map(
     latitudes = np.asarray(latitudes, dtype=np.float64)
     longitudes = np.asarray(longitudes, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    keep = np.flatnonzero(~(np.isnan(latitudes) | np.isnan(longitudes)))
+    keep = np.flatnonzero(np.isfinite(latitudes) & np.isfinite(longitudes))
     if max_points is not None and len(keep) > max_points:
         stride = int(np.ceil(len(keep) / max_points))
         keep = keep[::stride]
@@ -355,7 +355,7 @@ def choropleth_with_scatter_map(
     latitudes = np.asarray(latitudes, dtype=np.float64)
     longitudes = np.asarray(longitudes, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    keep = np.flatnonzero(~(np.isnan(latitudes) | np.isnan(longitudes)))
+    keep = np.flatnonzero(np.isfinite(latitudes) & np.isfinite(longitudes))
     if max_points is not None and len(keep) > max_points:
         stride = int(np.ceil(len(keep) / max_points))
         keep = keep[::stride]

@@ -68,8 +68,9 @@ def cluster_markers(
     """Aggregate certificates into cluster markers for one zoom level.
 
     ``values`` is the response variable whose per-marker mean colors the
-    marker.  Rows with missing coordinates are skipped; rows with missing
-    values still count toward cardinality but not toward the mean.
+    marker.  Rows with missing (NaN) or infinite coordinates are skipped
+    as unlocated; rows with missing values still count toward
+    cardinality but not toward the mean.
     ``cell_km`` overrides the granularity's default cell size.
 
     At UNIT granularity (or ``cell_km == 0``) every certificate becomes
@@ -82,7 +83,7 @@ def cluster_markers(
         raise ValueError("latitude/longitude/value arrays must be aligned")
 
     size = CELL_KM_BY_GRANULARITY[granularity] if cell_km is None else cell_km
-    valid = ~(np.isnan(latitudes) | np.isnan(longitudes))
+    valid = np.isfinite(latitudes) & np.isfinite(longitudes)
 
     members = np.flatnonzero(valid)
     if not len(members):

@@ -24,8 +24,8 @@ class GridIndex:
     Parameters
     ----------
     latitudes, longitudes:
-        Aligned coordinate arrays; NaN coordinates are skipped (they never
-        appear in query results).
+        Aligned coordinate arrays; non-finite (NaN or infinite)
+        coordinates are skipped (they never appear in query results).
     cell_km:
         Approximate cell edge length in kilometres.
     """
@@ -39,7 +39,7 @@ class GridIndex:
             raise ValueError("latitude/longitude arrays must be aligned")
         self.cell_km = float(cell_km)
 
-        valid = ~(np.isnan(self.latitudes) | np.isnan(self.longitudes))
+        valid = np.isfinite(self.latitudes) & np.isfinite(self.longitudes)
         self._valid = valid
         reference_lat = float(np.mean(self.latitudes[valid])) if valid.any() else 0.0
         per_lat, per_lon = km_per_degree(reference_lat)
@@ -88,7 +88,7 @@ class GridIndex:
     def cell_ranks(self) -> np.ndarray:
         """Per point, the rank of its cell in ascending (row, col) order.
 
-        Points with a NaN coordinate get -1.  Ranking by cell is how the
+        Points with a non-finite coordinate get -1.  Ranking by cell is how the
         marker clustering groups points without a dict of lists.
         """
         ranks = np.full(len(self.latitudes), -1, dtype=np.int64)
@@ -108,7 +108,7 @@ class GridIndex:
 
     def query_radius(self, lat: float, lon: float, radius_km: float) -> list[int]:
         """Indices of points within *radius_km* of (*lat*, *lon*)."""
-        if math.isnan(lat) or math.isnan(lon):
+        if not (math.isfinite(lat) and math.isfinite(lon)):
             return []
         reach = max(1, math.ceil(radius_km / self.cell_km))
         row0, col0 = self._cell_of(lat, lon)

@@ -31,7 +31,6 @@ from typing import Any
 
 import numpy as np
 
-from ..checks import lockdep as _lockdep
 from ..dataset.table import ColumnKind, Table
 from ..faults.plan import CACHE_READ, CACHE_WRITE, FaultInjector, FaultKind
 
@@ -123,16 +122,13 @@ class StageCache:
         self,
         directory: str | Path | None = None,
         injector: FaultInjector | None = None,
-        lockdep: "_lockdep.LockDep | None" = None,
     ):
         self._memory: dict[str, Any] = {}
         # Guards the memory dict and the hit/miss counters now that the
         # serving tier renders from worker threads; disk IO (and the
         # injector) stay outside the lock so a slow or faulted read never
-        # serializes sibling stages (LOCK004 discipline).
-        self._lock = _lockdep.wrap(
-            threading.Lock(), "stagecache.memory", _lockdep.resolve(lockdep)
-        )
+        # serializes sibling stages.
+        self._lock = threading.Lock()
         self.directory = Path(directory) if directory else None
         if self.directory is not None:
             if self.directory.exists() and not self.directory.is_dir():

@@ -188,20 +188,6 @@ class ParallelMap:
             (lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)
         ]
 
-    def _check_fork_safety(self) -> None:
-        """Fail fast if this thread forks a pool while holding a lock.
-
-        Only active when the lock sanitizer is armed (explicitly or via
-        ``REPRO_SANITIZE_LOCKS``): a worker forked while the parent holds
-        a sanitized lock inherits it locked forever.  The dynamic twin of
-        the PAR001/PAR002 fork-safety rules.
-        """
-        from ..checks import lockdep as _lockdep
-
-        dep = _lockdep.resolve(None)
-        if dep is not None:
-            dep.check_fork("ParallelMap pool spawn")
-
     def _chunk_fault(self) -> str | None:
         """The injected behaviour of the next dispatched chunk, if any."""
         if self.injector is None:
@@ -231,7 +217,6 @@ class ParallelMap:
         crash returns ``None`` after counting the fallback, so every map
         recomputes the same way: inline and bit-identical.
         """
-        self._check_fork_safety()
         try:
             with ProcessPoolExecutor(
                 max_workers=min(self.resolve_jobs(), len(payloads)),

@@ -11,8 +11,9 @@ server ``repro serve`` runs — built from three pieces:
   version* (:meth:`~repro.core.engine.Indice.analysis_version`) into
   content-addressed bytes with strong ETags and pre-compressed gzip
   twins.  Cold hits are **coalesced**: N concurrent requests for the same
-  un-rendered artifact trigger exactly one render (a single-flight lock
-  per key) while the other N-1 wait for the bytes.
+  un-rendered artifact trigger exactly one render (single-flight: the
+  first claims the key, renders with no lock held and publishes) while
+  the other N-1 wait for the bytes.
 * :mod:`repro.serving.server` — a **multi-worker HTTP server** over the
   store: one hostile-path policy (:func:`~repro.serving.server.normalize_path`,
   400), a fixed pool of handler threads (``--workers``), conditional
@@ -28,7 +29,7 @@ server ``repro serve`` runs — built from three pieces:
 Failures are part of the surface: the store's render path is a registered
 fault site (``serve.request``), so chaos plans can make renders fail and
 the harness can prove that a burst of failing renders yields per-request
-500 pages — never a traceback, never a wedged single-flight lock.
+500 pages — never a traceback, never a wedged single-flight claim.
 """
 
 from .server import ArtifactServer, PooledHTTPServer, Response

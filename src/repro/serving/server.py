@@ -10,15 +10,15 @@ accepted connections are drained by a **fixed pool of worker threads**
 
 Request lifecycle:
 
-1. **admission** — an in-flight slot is acquired under a short
-   :class:`~repro.faults.policy.Deadline`; when ``max_inflight``
-   requests are already being served the deadline expires and the
-   request is shed with ``503 + Retry-After`` instead of queueing
-   without bound (the serving twin of the pipeline's load shedding);
+1. **admission** — the request waits, under a short
+   :class:`~repro.faults.policy.Deadline`, for the in-flight count to
+   drop below ``max_inflight``; when it does not, the request is shed
+   with ``503 + Retry-After`` instead of queueing without bound (the
+   serving twin of the pipeline's load shedding);
 2. **routing** — :func:`normalize_path` applies the hostile-path
    policy (400), unknown routes 404;
 3. **artifact** — the store returns the immutable payload, rendering it
-   once under the single-flight lock if cold; any rendering failure
+   once, single-flight, if cold; any rendering failure
    (injected or real) becomes a per-request 500 page, never a traceback;
 4. **representation** — strong ``ETag`` vs ``If-None-Match`` (304),
    gzip when the client lists it with ``q > 0``, ``Cache-Control`` on
@@ -28,6 +28,11 @@ Request lifecycle:
 :meth:`reload` swapping the attribute is atomic — in-flight requests
 finish on the store they started with while new requests see the new
 analysis version.
+
+The server has one lock, a :class:`threading.Condition` guarding the
+in-flight count and the ``stats`` counters.  It is held only for those
+updates, so it is never held across a render nor while the store's
+lock is taken.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import unquote
 from xml.sax.saxutils import escape
 
-from ..checks import lockdep as _lockdep
 from ..core.engine import Indice
 from ..faults.policy import Deadline
 from .store import _HTML, ArtifactStore, build_store
@@ -187,10 +191,6 @@ class ArtifactServer:
     shed_after_s:
         The admission :class:`Deadline` budget — how long an arrival may
         wait for a slot before it is shed.
-    lockdep:
-        Optional :class:`~repro.checks.lockdep.LockDep` sanitizer; when
-        omitted, the shared default is used if ``REPRO_SANITIZE_LOCKS``
-        is on, else the primitives stay raw (zero overhead).
     """
 
     def __init__(
@@ -199,20 +199,14 @@ class ArtifactServer:
         *,
         max_inflight: int = 64,
         shed_after_s: float = 0.05,
-        lockdep: "_lockdep.LockDep | None" = None,
     ):
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         self._store = store
         self.max_inflight = max_inflight
         self.shed_after_s = shed_after_s
-        dep = _lockdep.resolve(lockdep)
-        self._slots = _lockdep.wrap(
-            threading.BoundedSemaphore(max_inflight), "server.slots", dep
-        )
-        self._stats_lock = _lockdep.wrap(
-            threading.Lock(), "server.stats", dep
-        )
+        #: Guards ``_inflight`` and ``stats``; admission waits on it.
+        self._cond = threading.Condition(threading.Lock())
         self._inflight = 0
         self.stats = {
             "requests": 0,
@@ -237,7 +231,7 @@ class ArtifactServer:
     @property
     def inflight(self) -> int:
         """Requests currently holding an admission slot."""
-        with self._stats_lock:
+        with self._cond:
             return self._inflight
 
     def reload(self, store: ArtifactStore) -> str:
@@ -268,24 +262,30 @@ class ArtifactServer:
         lowered = {
             key.lower(): value for key, value in (headers or {}).items()
         }
-        self._count("requests")
         deadline = Deadline(self.shed_after_s)
-        if not self._slots.acquire(timeout=deadline.remaining()):
-            self._count("shed")
+        with self._cond:
+            self.stats["requests"] += 1
+            admitted = self._cond.wait_for(
+                lambda: self._inflight < self.max_inflight,
+                timeout=deadline.remaining(),
+            )
+            if admitted:
+                self._inflight += 1
+            else:
+                self.stats["shed"] += 1
+        if not admitted:
             return _page(
                 503, "server saturated",
                 f"more than {self.max_inflight} requests are in flight; "
                 "retry shortly",
                 headers=(("Retry-After", "1"),),
             )
-        with self._stats_lock:
-            self._inflight += 1
         try:
             return self._respond(method, raw_path, lowered)
         finally:
-            with self._stats_lock:
+            with self._cond:
                 self._inflight -= 1
-            self._slots.release()
+                self._cond.notify()
 
     def _respond(
         self, method: str, raw_path: str, headers: dict[str, str]
@@ -306,7 +306,7 @@ class ArtifactServer:
             return _page(404, "not found", f"no route for {path!r}")
         # The per-request 500 page is the serving tier's totality contract:
         # a failed (or fault-injected) render must cost exactly one request
-        # and never leak a traceback or wedge the single-flight lock.
+        # and never leak a traceback or wedge the single-flight claim.
         except Exception as exc:  # repro: noqa[EXC001] — catch-all 500, no tracebacks out
             self._count("errors")
             return _page(
@@ -333,7 +333,7 @@ class ArtifactServer:
 
     def _healthz(self, store: ArtifactStore) -> Response:
         """Liveness + version probe (dynamic: never an artifact)."""
-        with self._stats_lock:
+        with self._cond:
             snapshot = dict(self.stats)
             snapshot["inflight"] = self._inflight
         payload = {
@@ -350,7 +350,7 @@ class ArtifactServer:
         )
 
     def _count(self, key: str) -> None:
-        with self._stats_lock:
+        with self._cond:
             self.stats[key] += 1
 
     # -- socket layer --------------------------------------------------------

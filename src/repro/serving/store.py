@@ -3,16 +3,20 @@
 An :class:`ArtifactStore` maps route paths to pre-renderable byte
 payloads.  Renderers are registered at construction; each one runs at
 most once per store (and therefore once per analysis version, since a
-new analysis builds a new store) under a per-key single-flight lock:
+new analysis builds a new store), single-flight:
 
 * a **warm** hit returns the immutable :class:`Artifact` with zero
   locking — a dict read;
-* N concurrent **cold** hits on the same key coalesce: one caller
-  renders while the other N-1 block on the key's lock and then read the
-  freshly published artifact;
-* a **failed** render publishes nothing and releases the lock, so the
-  next request simply retries — an injected or real rendering failure
-  can never wedge the key.
+* N concurrent **cold** hits on the same key coalesce: the first caller
+  claims the key in an in-flight map (under the store's one lock, which
+  it then releases) and renders with **no lock held**, while the other
+  N-1 wait on the claim's event and then read the published artifact;
+* a **failed** render publishes nothing and withdraws its claim, so
+  exactly one of the waiters (or the next request) claims the retry —
+  an injected or real rendering failure can never wedge the key.
+
+The store's lock is a leaf: it is only ever held for dict and counter
+updates, never across a render and never while taking another lock.
 
 Artifacts are content-addressed: the strong ``ETag`` is the SHA-256 of
 the body, and the gzip twin is compressed with ``mtime=0`` so two
@@ -36,8 +40,6 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from ..checks import effectaudit as _effectaudit
-from ..checks import lockdep as _lockdep
 from ..core.engine import Indice
 from ..core.report import generate_report
 from ..faults.plan import SERVE_REQUEST, FaultInjector
@@ -104,10 +106,6 @@ class ArtifactStore:
         Optional fault injector; each render *attempt* announces one
         arrival at the ``serve.request`` site and propagates the injected
         exception instead of rendering.
-    lockdep:
-        Optional :class:`~repro.checks.lockdep.LockDep` sanitizer; when
-        omitted, the shared default is used if ``REPRO_SANITIZE_LOCKS``
-        is on, else the locks stay raw primitives (zero overhead).
     """
 
     def __init__(
@@ -115,18 +113,15 @@ class ArtifactStore:
         version: str,
         renderers: dict[str, tuple[str, Callable[[], str | bytes]]],
         injector: FaultInjector | None = None,
-        lockdep: "_lockdep.LockDep | None" = None,
-        effectaudit: "_effectaudit.EffectAudit | None" = None,
     ):
         self.version = version
         self._renderers = dict(renderers)
         self._injector = injector
-        self._lockdep = _lockdep.resolve(lockdep)
-        self._effectaudit = _effectaudit.resolve(effectaudit)
         self._artifacts: dict[str, Artifact] = {}
         self._render_counts: dict[str, int] = {}
-        self._locks: dict[str, threading.Lock] = {}
-        self._meta = _lockdep.wrap(threading.Lock(), "store.meta", self._lockdep)
+        #: Paths being rendered right now -> set once the attempt ends.
+        self._rendering: dict[str, threading.Event] = {}
+        self._meta = threading.Lock()
         #: Render attempts, including ones an injected fault aborted.
         self.render_attempts = 0
 
@@ -150,15 +145,6 @@ class ArtifactStore:
 
     # -- the single-flight render path --------------------------------------
 
-    def _lock_for(self, path: str) -> threading.Lock:
-        with self._meta:
-            lock = self._locks.get(path)
-            if lock is None:
-                lock = self._locks[path] = _lockdep.wrap(
-                    threading.Lock(), f"store.key:{path}", self._lockdep
-                )
-            return lock
-
     def get(self, path: str) -> Artifact:
         """The artifact for *path*, rendering it (once) if cold.
 
@@ -173,27 +159,30 @@ class ArtifactStore:
             content_type, render = self._renderers[path]
         except KeyError:
             raise KeyError(path) from None
-        lock = self._lock_for(path)
-        with lock:
-            # coalesced: another request rendered while we waited
-            artifact = self._artifacts.get(path)
-            if artifact is not None:
-                return artifact
+        while True:
             with self._meta:
-                self.render_attempts += 1
+                artifact = self._artifacts.get(path)
+                if artifact is not None:
+                    return artifact
+                pending = self._rendering.get(path)
+                if pending is None:
+                    done = self._rendering[path] = threading.Event()
+                    self.render_attempts += 1
+                    break
+            # coalesce: wait out the attempt in flight, then look again
+            pending.wait()
+        try:
             if self._injector is not None:
                 self._injector.fire(SERVE_REQUEST)
-            # The render under the key lock IS the single-flight design:
-            # N cold hits coalesce into one render, and only same-key
-            # requests (which need this payload anyway) ever wait on it;
-            # warm hits never touch the lock.
-            with _effectaudit.region(self._effectaudit, f"render:{path}"):
-                payload = render()  # repro: noqa[LOCK004] — sanctioned coalescing render
-            artifact = Artifact.build(path, content_type, payload)
+            artifact = Artifact.build(path, content_type, render())
+        finally:
             with self._meta:
-                self._render_counts[path] = self._render_counts.get(path, 0) + 1
-            self._artifacts[path] = artifact
-            return artifact
+                if artifact is not None:
+                    self._artifacts[path] = artifact
+                    self._render_counts[path] = self._render_counts.get(path, 0) + 1
+                del self._rendering[path]
+            done.set()
+        return artifact
 
     def prerender(self) -> int:
         """Render every registered artifact; the number of routes."""
@@ -252,7 +241,7 @@ def render_points_geojson(engine: Indice) -> str:
     response_name = engine.config.response
     lat = table["latitude"]
     lon = table["longitude"]
-    located = ~(np.isnan(lat) | np.isnan(lon))
+    located = np.isfinite(lat) & np.isfinite(lon)
     features = geojson.point_features(
         lat[located], lon[located],
         {
@@ -266,7 +255,6 @@ def render_points_geojson(engine: Indice) -> str:
 def build_store(
     engine: Indice,
     injector: FaultInjector | None = None,
-    lockdep: "_lockdep.LockDep | None" = None,
 ) -> ArtifactStore:
     """The artifact store of one analyzed engine.
 
@@ -295,5 +283,4 @@ def build_store(
         version,
         renderers,
         injector=injector if injector is not None else engine.injector,
-        lockdep=lockdep,
     )

@@ -1,4 +1,4 @@
-"""LOCK003 negative: every post-init mutation holds the majority lock."""
+"""LOCK003 negative: every post-init write of a locked attribute holds the lock."""
 import threading
 
 
@@ -7,7 +7,7 @@ class Tally:
         self._lock = threading.Lock()
         self.pending = 0
         self.total = 0
-        self.label = "tally"  # never written under a lock: no majority guard
+        self.label = "tally"  # never written under a lock: no guard to break
 
     def start(self, worker):
         threading.Thread(target=self.add).start()

@@ -376,7 +376,7 @@ class TestServingChaos:
 
     The serving twin of the pipeline invariant: a failing render costs
     exactly the requests whose attempt failed (a per-request 500 page,
-    never a traceback), it never wedges the single-flight lock, and the
+    never a traceback), it never wedges the single-flight claim, and the
     next attempt recovers.  The plan is a plain spec string, so the same
     failure reproduces from the CLI via
     ``repro serve --fault-plan 'serve.request:transient*3;seed=5'``.
@@ -416,7 +416,7 @@ class TestServingChaos:
             thread.join(timeout=60.0)
         assert len(results) == self.BURST
 
-        # the single-flight lock serializes render attempts, so the plan
+        # the single-flight claim serializes render attempts, so the plan
         # is deterministic even under a concurrent burst: attempts 1-3
         # fail (one 500 each), attempt 4 publishes, the rest coalesce
         statuses = sorted(response.status for response in results)
@@ -452,16 +452,18 @@ class TestServingChaos:
     def test_fault_burst_under_lock_sanitizer_stays_deterministic(
         self, serve_engine
     ):
-        # the same chaos burst, instrumented: injected render failures
-        # must neither reorder the locks nor leave one held, and the
-        # deterministic 3x500-then-coalesce outcome is unchanged
-        from repro.checks.lockdep import LockDep
+        # the same chaos burst, with the serving locks recorded: injected
+        # render failures must neither nest the locks nor leave one held,
+        # and the deterministic 3x500-then-coalesce outcome is unchanged
         from repro.serving import ArtifactServer, build_store
 
-        dep = LockDep("chaos")
+        from .lock_recording import LockRecorder
+
+        recorder = LockRecorder()
         injector = FaultInjector(FaultPlan.parse(self.SPEC))
-        store = build_store(serve_engine, injector=injector, lockdep=dep)
-        server = ArtifactServer(store, lockdep=dep)
+        store = build_store(serve_engine, injector=injector)
+        server = ArtifactServer(store)
+        recorder.instrument(store, server)
         path = "/dashboard/citizen"
 
         barrier = threading.Barrier(self.BURST)
@@ -482,8 +484,8 @@ class TestServingChaos:
         statuses = sorted(response.status for response in results)
         assert statuses == [200] * (self.BURST - 3) + [500] * 3
         assert store.render_count(path) == 1
-        # the sanitizer saw the whole burst and stayed silent — failed
+        # the recorder saw the whole burst and stayed silent — failed
         # renders released every lock they held
-        assert dep.n_acquires > self.BURST
-        assert dep.violations == []
-        dep.assert_clean()
+        assert recorder.n_acquires > self.BURST
+        recorder.assert_clean()
+        assert recorder.held_anywhere() == ()

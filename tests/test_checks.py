@@ -34,7 +34,7 @@ SRC = Path(repro.__file__).parent
 #: fixture stem -> (rule code, expected finding count in the _bad file)
 EXPECTED = {
     "det001": ("DET001", 3),
-    "det002": ("DET002", 4),
+    "det002": ("DET002", 8),
     "det003": ("DET003", 3),
     "fault001": ("FAULT001", 2),
     "exc001": ("EXC001", 2),
@@ -45,14 +45,8 @@ EXPECTED = {
     "col003": ("COL003", 2),
     "par001": ("PAR001", 3),
     "par002": ("PAR002", 2),
-    "lock002": ("LOCK002", 2),
     "lock003": ("LOCK003", 2),
-    "lock004": ("LOCK004", 3),
     "imp001": ("IMP001", 1),
-    "cache002": ("CACHE002", 2),
-    "det004": ("DET004", 2),
-    "fault002": ("FAULT002", 2),
-    "pure001": ("PURE001", 2),
 }
 
 
@@ -105,9 +99,8 @@ class TestSelfAnalysis:
         # the documented intentional sites (serving/server.py catch-all
         # 500 + pooled-worker survival, perf/cache.py corrupt-entry-as-miss,
         # checks/cache.py corrupt analysis cache, checks/cli.py
-        # crash-to-exit-2 boundary, serving/store.py sanctioned coalescing
-        # render under the single-flight lock) are pragma'd, not invisible
-        assert result.n_suppressed == 6
+        # crash-to-exit-2 boundary) are pragma'd, not invisible
+        assert result.n_suppressed == 5
 
     def test_checker_analyzes_itself(self):
         result = Checker().run([SRC / "checks"])
@@ -293,7 +286,7 @@ class TestReproCheckSubcommand:
         import sys
 
         code = repro_main(["check", *args])
-        env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent))  # repro: noqa[DET002] — child inherits the test env
         proc = subprocess.run(
             [sys.executable, "-m", "repro.checks", *args],
             env=env, capture_output=True, text=True, timeout=120,
@@ -307,12 +300,12 @@ class TestRuleMetadata:
         for rule in all_rules():
             assert rule.code and rule.name and rule.rationale
 
-    def test_at_least_fifteen_rules(self):
-        assert len(all_rules()) >= 15
+    def test_at_least_fourteen_rules(self):
+        assert len(all_rules()) >= 14
 
 
 class TestExplain:
-    @pytest.mark.parametrize("code", ["LOCK002", "LOCK003", "MUT001"])
+    @pytest.mark.parametrize("code", ["COL002", "LOCK003", "MUT001"])
     def test_explain_prints_doc_rationale_and_fixture_pair(self, code):
         out = io.StringIO()
         assert checks_main(["--explain", code], out=out) == 0
@@ -338,43 +331,43 @@ class TestExplain:
             assert valid in text
 
     def test_repro_check_forwards_explain(self, capsys):
-        assert repro_main(["check", "--explain", "LOCK004"]) == 0
-        assert "LOCK004" in capsys.readouterr().out
+        assert repro_main(["check", "--explain", "COL003"]) == 0
+        assert "COL003" in capsys.readouterr().out
 
     def test_explain_is_case_insensitive(self):
         out = io.StringIO()
-        assert checks_main(["--explain", "lock004"], out=out) == 0
-        assert out.getvalue().startswith("LOCK004")
+        assert checks_main(["--explain", "col003"], out=out) == 0
+        assert out.getvalue().startswith("COL003")
 
     def test_explain_unique_prefix_matches(self):
         out = io.StringIO()
-        assert checks_main(["--explain", "pure"], out=out) == 0
-        assert out.getvalue().startswith("PURE001")
+        assert checks_main(["--explain", "float"], out=out) == 0
+        assert out.getvalue().startswith("FLOAT001")
 
     def test_explain_ambiguous_prefix_lists_candidates(self):
         out = io.StringIO()
-        assert checks_main(["--explain", "lock"], out=out) == 2
+        assert checks_main(["--explain", "col"], out=out) == 2
         text = out.getvalue()
         assert "ambiguous" in text
-        for code in ("LOCK002", "LOCK003", "LOCK004"):
+        for code in ("COL001", "COL002", "COL003"):
             assert code in text
 
     def test_explain_typo_suggests_near_misses(self):
         out = io.StringIO()
-        assert checks_main(["--explain", "LOKC002"], out=out) == 2
+        assert checks_main(["--explain", "DTE002"], out=out) == 2
         text = out.getvalue()
         assert "did you mean" in text
-        assert "LOCK002" in text
+        assert "DET002" in text
 
 
 class TestSelectGlobs:
     def test_glob_selects_a_rule_family(self):
         out = io.StringIO()
         code = checks_main(
-            [str(FIXTURES / "lock002_bad.py"), "--select", "LOCK*"], out=out
+            [str(FIXTURES / "col002_bad.py"), "--select", "COL*"], out=out
         )
         assert code == 1
-        assert "LOCK002" in out.getvalue()
+        assert "COL002" in out.getvalue()
 
     def test_glob_is_case_insensitive(self):
         out = io.StringIO()
@@ -387,7 +380,7 @@ class TestSelectGlobs:
     def test_literal_and_glob_entries_mix(self):
         out = io.StringIO()
         code = checks_main(
-            [str(FIXTURES / "mut001_bad.py"), "--select", "MUT001,LOCK*"],
+            [str(FIXTURES / "mut001_bad.py"), "--select", "MUT001,COL*"],
             out=out,
         )
         assert code == 1
@@ -401,151 +394,6 @@ class TestSelectGlobs:
         assert "NOPE*" in text
         for valid in rule_codes():
             assert valid in text
-
-
-class TestConcurrencyModel:
-    """Unit coverage of the cross-module lock-order/guard analysis."""
-
-    def test_cross_module_cycle_one_call_deep(self, tmp_path):
-        result = Checker().run([self._two_module_cycle(tmp_path)])
-        # the mutual import is itself (correctly) an IMP001; the point
-        # here is the interprocedural lock cycle resolved across it
-        assert sorted(f.rule for f in result.findings) == ["IMP001", "LOCK002"]
-        message = next(
-            f.message for f in result.findings if f.rule == "LOCK002"
-        )
-        assert "alpha" in message and "beta" in message
-
-    @staticmethod
-    def _two_module_cycle(tmp_path):
-        # alpha holds A and calls beta.enter() which acquires B;
-        # beta holds B and calls back into alpha's helper acquiring A.
-        (tmp_path / "alpha.py").write_text(
-            "import threading\n"
-            "from beta import enter\n"
-            "A = threading.Lock()\n"
-            "def outer():\n"
-            "    with A:\n"
-            "        enter()\n"
-            "def helper():\n"
-            "    with A:\n"
-            "        pass\n"
-        )
-        (tmp_path / "beta.py").write_text(
-            "import threading\n"
-            "from alpha import helper\n"
-            "B = threading.Lock()\n"
-            "def enter():\n"
-            "    with B:\n"
-            "        pass\n"
-            "def reverse():\n"
-            "    with B:\n"
-            "        helper()\n"
-        )
-        return tmp_path
-
-    def test_consistent_cross_module_order_is_silent(self, tmp_path):
-        (tmp_path / "alpha.py").write_text(
-            "import threading\n"
-            "from beta import enter\n"
-            "A = threading.Lock()\n"
-            "def outer():\n"
-            "    with A:\n"
-            "        enter()\n"
-        )
-        (tmp_path / "beta.py").write_text(
-            "import threading\n"
-            "B = threading.Lock()\n"
-            "def enter():\n"
-            "    with B:\n"
-            "        pass\n"
-        )
-        result = Checker().run([tmp_path])
-        assert result.findings == []
-
-    def test_guard_inference_skips_lockless_classes(self, tmp_path):
-        # mixed write discipline, but no lock owned and no threads
-        # spawned: not thread-reachable, so LOCK003 stays silent
-        (tmp_path / "plain.py").write_text(
-            "class Counter:\n"
-            "    def __init__(self):\n"
-            "        self.n = 0\n"
-            "    def bump(self):\n"
-            "        self.n += 1\n"
-        )
-        result = Checker().run([tmp_path])
-        assert result.findings == []
-
-    def test_dict_of_locks_identity(self, tmp_path):
-        from repro.checks.concurrency import extract_concurrency
-        import ast as _ast
-
-        facts = extract_concurrency(_ast.parse(
-            "import threading\n"
-            "class Store:\n"
-            "    def __init__(self):\n"
-            "        self._locks: dict[str, threading.Lock] = {}\n"
-            "    def lock_for(self, key):\n"
-            "        lock = self._locks[key] = threading.Lock()\n"
-            "        return lock\n"
-        ))
-        assert ["Store._locks[]", "lock"] in [
-            ident[:2] for ident in facts["locks"]
-        ]
-
-
-class TestEffectModel:
-    """Golden interprocedural effect summaries over the real modules."""
-
-    @pytest.fixture(scope="class")
-    def model(self):
-        from repro.checks.checker import Checker as _Checker
-        from repro.checks.effects import EffectModel
-        from repro.checks.project import ProjectIndex
-
-        files = [
-            SRC / "perf" / "cache.py",
-            SRC / "serving" / "store.py",
-            SRC / "checks" / "lockdep.py",
-            SRC / "checks" / "effectaudit.py",
-            SRC / "checks" / "__init__.py",
-            SRC / "serving" / "__init__.py",
-            SRC / "perf" / "__init__.py",
-            SRC / "__init__.py",
-        ]
-        checker = _Checker()
-        summaries = [checker._summarize(path)[0] for path in files]
-        return EffectModel.of(ProjectIndex(summaries))
-
-    def test_stage_cache_put_is_a_pure_writer(self, model):
-        assert sorted(model.effects("repro.perf.cache:StageCache.put")) == [
-            "fs_write"
-        ]
-
-    def test_stage_cache_get_only_reads(self, model):
-        assert sorted(model.effects("repro.perf.cache:StageCache.get")) == [
-            "fs_read"
-        ]
-
-    def test_stage_cache_key_is_pure(self, model):
-        assert not model.effects("repro.perf.cache:StageCache.key")
-
-    def test_build_store_env_reads_are_all_instrumentation_flags(self, model):
-        from repro.checks.effects import INSTRUMENTATION_ENV
-
-        effects = model.effects("repro.serving.store:build_store")
-        env_reads = {
-            token.partition(":")[2]
-            for token in effects
-            if token.startswith("env_read:")
-        }
-        assert env_reads  # the lockdep/effectaudit resolve chain is seen
-        assert env_reads <= INSTRUMENTATION_ENV
-
-    def test_cached_roots_are_detected(self, model):
-        kinds = {(gid, kind) for gid, kind, __, __ in model.roots()}
-        assert ("repro.perf.cache:StageCache.shard_key", "stage") in kinds
-        assert ("repro.serving.store:build_store", "store") in kinds
 
 
 class TestExitCodes:
@@ -628,7 +476,7 @@ class TestSarifOutput:
                 "error", "warning", "note",
             )
         assert rules["COL002"]["defaultConfiguration"]["level"] == "warning"
-        assert rules["CACHE002"]["defaultConfiguration"]["level"] == "error"
+        assert rules["DET002"]["defaultConfiguration"]["level"] == "error"
 
     def test_result_level_follows_rule_severity(self):
         code, payload = self._sarif(FIXTURES / "col002_bad.py")
@@ -893,7 +741,7 @@ class TestAllEntryPoint:
         import subprocess
 
         script = Path(repro.__file__).parents[2] / "scripts" / "ci_checks.sh"
-        env = dict(os.environ)
+        env = dict(os.environ)  # repro: noqa[DET002] — CI script inherits the test env
         proc = subprocess.run(
             ["bash", str(script)],
             cwd=script.parent.parent,

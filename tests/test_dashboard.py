@@ -258,6 +258,15 @@ class TestMaps:
         render = scatter_map(lats, lons, values, "eph")
         assert render.svg.count("<circle") == len(lats)
 
+    def test_scatter_skips_infinite_coordinates(self, points):
+        # ±inf is unlocated like NaN: the frame and the points stay finite
+        lats, lons, values = (column.copy() for column in points)
+        lats[0], lons[1] = np.inf, -np.inf
+        render = scatter_map(lats, lons, values, "eph")
+        assert render.svg.count("<circle") == len(lats) - 2
+        assert "inf" not in render.svg and "nan" not in render.svg
+        assert len(render.geojson["features"]) == len(lats) - 2
+
     def test_cluster_marker_map_labels(self, hierarchy, points):
         lats, lons, values = points
         render = cluster_marker_map(lats, lons, values, "eph",

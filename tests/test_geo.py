@@ -102,8 +102,18 @@ class TestGridIndex:
         assert idx.n_points == 1
         assert idx.query_radius(45.0, 7.6, 1.0) == [0]
 
+    def test_infinite_points_skipped(self):
+        # an infinite latitude must not reach the reference-latitude mean
+        lats = np.array([45.0, np.inf, 45.001])
+        lons = np.array([7.6, 7.6, -np.inf])
+        idx = GridIndex(lats, lons, cell_km=1.0)
+        assert idx.n_points == 1
+        assert idx.cell_ranks().tolist() == [0, -1, -1]
+        assert idx.query_radius(45.0, 7.6, 1.0) == [0]
+
     def test_nan_probe_returns_empty(self):
         assert self.index.query_radius(float("nan"), 7.6, 1.0) == []
+        assert self.index.query_radius(float("inf"), 7.6, 1.0) == []
 
     def test_invalid_cell_size(self):
         with pytest.raises(ValueError):

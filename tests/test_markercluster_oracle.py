@@ -14,7 +14,8 @@ against the same reference run once per cluster label.
 
 Coordinates sit on a lattice whose step divides the grid cells, so many
 centres fall on (or a rounding error away from) a cell edge; negative
-coordinates tell ``floor`` from truncation.
+coordinates tell ``floor`` from truncation.  NaN and ±inf coordinates
+are both unlocated: the reference skips any row that is not finite.
 """
 
 import math
@@ -33,7 +34,7 @@ _ZOOMS = (Granularity.NEIGHBOURHOOD, Granularity.DISTRICT, Granularity.CITY)
 
 def naive_markers(lats, lons, values, granularity, cell_km=None):
     """``(lat, lon, count, mean, members)`` per marker, one row at a time."""
-    valid = [i for i in range(len(lats)) if not (np.isnan(lats[i]) or np.isnan(lons[i]))]
+    valid = [i for i in range(len(lats)) if np.isfinite(lats[i]) and np.isfinite(lons[i])]
     size = CELL_KM_BY_GRANULARITY[granularity] if cell_km is None else cell_km
     if size <= 0:
         return [(lats[i], lons[i], 1, values[i], [i]) for i in valid]
@@ -80,17 +81,20 @@ def _assert_equal(got, want):
 #: Degrees per lattice step: a whole fraction of every default cell.
 _STEP = 0.45 / km_per_degree(0.0)[0] / 3
 _NAN = float("nan")
+_INF = float("inf")
 
 
 @st.composite
 def certificates(draw, span: int = 30):
-    """Aligned (lat, lon, value) columns with ties, NaN and duplicates,
-    mostly on lattice points at most *span* steps from a base point."""
+    """Aligned (lat, lon, value) columns with ties, NaN, ±inf and
+    duplicates, mostly on lattice points at most *span* steps from a
+    base point."""
     n = draw(st.integers(0, 40))
     base = draw(st.sampled_from([0.0, 45.07]))
     coord = st.one_of(
         st.integers(-span, span).map(lambda k: base + k * _STEP),
         st.just(_NAN),
+        st.sampled_from([_INF, -_INF]),
         st.floats(base - 0.05, base + 0.05, allow_nan=False),
     )
     value = st.one_of(st.integers(0, 8).map(float), st.just(_NAN))
@@ -114,6 +118,12 @@ _CELL_KM = st.one_of(
 @given(certificates(), st.sampled_from(list(Granularity)), _CELL_KM)
 @example((np.empty(0), np.empty(0), np.empty(0)), Granularity.CITY, None)
 @example((np.array([45.0]), np.array([7.6]), np.array([_NAN])), Granularity.CITY, None)
+# one infinite latitude among located rows: skipped, not a math domain error
+@example(
+    (np.array([45.0, _INF, 45.001]), np.array([7.6, 7.6, 7.601]), np.ones(3)),
+    Granularity.CITY, None,
+)
+@example((np.array([-_INF]), np.array([_INF]), np.ones(1)), Granularity.UNIT, None)
 @example(
     (np.array([-_STEP, 0.0, _STEP, -_STEP]), np.array([-_STEP, 0.0, 0.0, _STEP]),
      np.array([1.0, 2.0, _NAN, 4.0])),

@@ -5,11 +5,21 @@ the socket cases run the real pooled handler via
 :meth:`ArtifactServer.serving`.
 """
 
+import json
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro import Indice, IndiceConfig, Stakeholder
 from repro.dataset import SyntheticConfig, generate_epc_collection
-from repro.serving import ArtifactServer, build_store
+from repro.dataset.table import Column
+from repro.serving import (
+    ArtifactServer,
+    ArtifactStore,
+    build_store,
+    render_points_geojson,
+)
 from repro.serving.server import write_payload
 
 
@@ -76,6 +86,52 @@ class TestRouting:
         assert server.store.total_renders == renders
         assert second.status == first.status == 200
         assert second.body == first.body
+
+
+def strict_json(body: bytes):
+    """Parse *body* as RFC 8259 JSON: ``NaN`` / ``Infinity`` are errors."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(body, parse_constant=reject)
+
+
+class TestGeoJsonPoints:
+    def test_points_layer_is_strict_json(self, server, engine):
+        response = server.respond("GET", "/geojson/points")
+        assert response.status == 200
+        collection = strict_json(response.body)
+        table = engine._require_analyzed().table
+        located = np.isfinite(table["latitude"]) & np.isfinite(table["longitude"])
+        assert len(collection["features"]) == int(located.sum())
+
+    def test_infinite_coordinates_are_unlocated(self, engine):
+        # one certificate at an infinite latitude and one at an infinite
+        # longitude: both are dropped like NaN ones, never emitted as
+        # `Infinity` (which no JSON parser has to accept)
+        table = engine._require_analyzed().table
+        lat, lon = table["latitude"].copy(), table["longitude"].copy()
+        located = np.flatnonzero(np.isfinite(lat) & np.isfinite(lon))
+        lat[located[0]], lon[located[1]] = np.inf, -np.inf
+        table = table.with_column(Column.numeric("latitude", lat))
+        table = table.with_column(Column.numeric("longitude", lon))
+        stand_in = SimpleNamespace(
+            config=engine.config,
+            _require_analyzed=lambda: SimpleNamespace(table=table),
+        )
+        store = ArtifactStore(
+            "v-inf",
+            {"/geojson/points": (
+                "application/geo+json", lambda: render_points_geojson(stand_in)
+            )},
+        )
+        response = ArtifactServer(store).respond("GET", "/geojson/points")
+        assert response.status == 200
+        features = strict_json(response.body)["features"]
+        assert len(features) == len(located) - 2
+        for feature in features:
+            assert all(np.isfinite(feature["geometry"]["coordinates"]))
 
 
 class TestErrorPages:

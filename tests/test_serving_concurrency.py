@@ -16,12 +16,9 @@ The contracts under test, each through real TCP connections against a
 * **graceful reload** — a request in flight across
   :meth:`~repro.serving.ArtifactServer.reload` finishes against the
   store it started on, while every later request sees the new version;
-* **lock sanitizing** — the same bursts run instrumented under the
-  :mod:`repro.checks.lockdep` sanitizer and must stay silent (the load
-  harness doubles as a dynamic race detector), a seeded lock-order
-  inversion against the store's real locks is caught deterministically,
-  and the instrumentation overhead on the 50-client cold burst stays
-  below 10%.
+* **lock discipline** — the same bursts run with the store's and the
+  server's locks behind a test-local recorder: no thread ever holds two
+  locks, and every render runs with no lock held.
 """
 
 import gzip
@@ -32,9 +29,10 @@ import time
 import pytest
 
 from repro import Indice, IndiceConfig
-from repro.checks.lockdep import LockDep, LockOrderError, SanitizedLock
 from repro.dataset import SyntheticConfig, generate_epc_collection
 from repro.serving import ArtifactServer, ArtifactStore, build_store
+
+from .lock_recording import LockRecorder
 
 pytestmark = pytest.mark.serving
 
@@ -223,7 +221,7 @@ class TestLoadShedding:
     def test_shed_does_not_leak_slots(self):
         # every exit from respond gives its admission slot back: with one
         # slot, a leak on any path would shed the follow-up request
-        dep = LockDep("exits")
+        recorder = LockRecorder()
         started = threading.Event()
         release = threading.Event()
 
@@ -242,17 +240,15 @@ class TestLoadShedding:
                 "/boom": ("text/plain", boom),
                 "/slow": ("text/plain", slow),
             },
-            lockdep=dep,
         )
-        server = ArtifactServer(
-            store, max_inflight=1, shed_after_s=0.05, lockdep=dep
-        )
+        server = ArtifactServer(store, max_inflight=1, shed_after_s=0.05)
+        recorder.instrument(store, server)
 
         def assert_slot_returned():
             assert server.inflight == 0
-            assert dep.held() == ()
+            assert recorder.held_anywhere() == ()
             assert server.respond("GET", "/page").status == 200
-            dep.assert_clean()
+            recorder.assert_clean()
 
         etag = server.respond("GET", "/page").header("ETag")
         exits = [
@@ -327,85 +323,54 @@ class TestGracefulReload:
         assert server.stats["reloads"] == 1
 
 
-class TestLockdepSanitized:
-    """The burst harness re-run as a dynamic race detector."""
+class TestLockDiscipline:
+    """The burst harness re-run with every serving lock recorded."""
 
-    def test_sanitized_cold_burst_is_silent_and_still_coalesces(self, engine):
-        dep = LockDep("burst")
-        store = build_store(engine, lockdep=dep)
-        server = ArtifactServer(store, lockdep=dep)
+    def test_cold_burst_never_nests_locks_or_renders_under_one(self, engine):
+        recorder = LockRecorder()
+        store = build_store(engine)
+        server = ArtifactServer(store)
+        recorder.instrument(store, server)
         path = "/dashboard/citizen"
         with server.serving(workers=8) as (httpd, __):
-            results = burst(httpd.server_address[1], path, CLIENTS)
+            port = httpd.server_address[1]
+            results = burst(port, path, CLIENTS)
+            # a second wave over every other route: distinct keys render
+            # side by side while admissions and /healthz keep flowing
+            others = [p for p in store.paths() if p != path] + ["/healthz"]
+            waves = [
+                threading.Thread(target=burst, args=(port, other, 6))
+                for other in others
+            ]
+            for thread in waves:
+                thread.start()
+            for thread in waves:
+                thread.join(timeout=120.0)
         assert {status for status, __, ___ in results} == {200}
         assert store.render_count(path) == 1
-        # the run was observed...
-        assert dep.n_acquires > CLIENTS
-        # ...and no inversion, fork-while-held or wedge was recorded
-        assert dep.violations == []
-        dep.assert_clean()
-        # the observed order is the designed one: admission slot, then
-        # stats; key lock, then store meta — never the reverse
-        assert ("server.slots", "server.stats") in dep.edges
-        assert (f"store.key:{path}", "store.meta") in dep.edges
-        assert ("store.meta", f"store.key:{path}") not in dep.edges
+        assert store.render_attempts == len(store.paths())
+        # the run was observed: every render and many acquisitions ...
+        assert recorder.n_renders == len(store.paths())
+        assert recorder.n_acquires > 2 * CLIENTS
+        # ... and no thread ever held two locks or rendered under one
+        recorder.assert_clean()
+        assert recorder.held_anywhere() == ()
+        assert server.inflight == 0
 
-    def test_sanitized_graceful_reload_is_silent(self, engine):
-        dep = LockDep("reload")
-        server = ArtifactServer(build_store(engine, lockdep=dep), lockdep=dep)
+    def test_graceful_reload_burst_keeps_the_discipline(self, engine):
+        recorder = LockRecorder()
+        store = build_store(engine)
+        server = ArtifactServer(store)
+        recorder.instrument(store, server)
         with server.serving(workers=4) as (httpd, __):
             port = httpd.server_address[1]
             results = burst(port, "/report", 12)
             assert {status for status, __, ___ in results} == {200}
-            server.reload(build_store(engine, lockdep=dep))
+            fresh = build_store(engine)
+            recorder.instrument(fresh)
+            server.reload(fresh)
             results = burst(port, "/report", 12)
             assert {status for status, __, ___ in results} == {200}
-        assert dep.violations == []
-        dep.assert_clean()
-
-    def test_seeded_inversion_is_caught_in_the_store_path(self):
-        # teach the sanitizer an (inverted) meta -> key order, as if some
-        # code path acquired the per-key lock while holding the meta
-        # lock; the store's real key -> meta acquisition then closes the
-        # cycle and must raise at the acquisition site, first attempt
-        dep = LockDep("seeded")
-        store = ArtifactStore(
-            "v", {"/x": ("text/plain", lambda: "x")}, lockdep=dep
-        )
-        outer = SanitizedLock(threading.Lock(), "store.meta", dep)
-        inner = SanitizedLock(threading.Lock(), "store.key:/x", dep)
-        with outer:
-            with inner:
-                pass
-        with pytest.raises(LockOrderError, match="inversion"):
-            store.get("/x")
-        assert store.render_count("/x") == 0  # nothing half-published
-
-    def test_instrumentation_overhead_on_cold_burst(self, engine):
-        def cold_burst(lockdep):
-            store = build_store(engine, lockdep=lockdep)
-            server = ArtifactServer(store, lockdep=lockdep)
-            path = "/dashboard/citizen"
-            barrier = threading.Barrier(CLIENTS + 1)
-
-            def hit():
-                barrier.wait()
-                assert server.respond("GET", path).status == 200
-
-            threads = [threading.Thread(target=hit) for __ in range(CLIENTS)]
-            for thread in threads:
-                thread.start()
-            barrier.wait()
-            started = time.perf_counter()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            return time.perf_counter() - started
-
-        # min-of-3 each: scheduler noise, not the mean, is the enemy
-        plain = min(cold_burst(None) for __ in range(3))
-        sanitized = min(cold_burst(LockDep("overhead")) for __ in range(3))
-        # <10% relative, with an absolute floor for sub-ms timer jitter
-        assert sanitized <= plain * 1.10 + 0.010, (
-            f"sanitizer overhead too high: plain={plain:.4f}s "
-            f"sanitized={sanitized:.4f}s"
-        )
+        assert fresh.render_count("/report") == 1
+        assert recorder.n_renders == 2
+        recorder.assert_clean()
