@@ -48,16 +48,15 @@ def main() -> None:
 
     # -- tier 1: pre-processing ----------------------------------------
     pre = engine.preprocess()
-    report = pre.cleaning_report
-    counts = {status.value: n for status, n in report.counts_by_status().items()}
+    cleaning = pre.cleaning
+    counts = {status.value: n for status, n in cleaning.counts.items()}
     print("\n[1] Geospatial cleaning against the referenced street map")
-    print(f"    rows cleaned:        {len(report.audits)}")
+    print(f"    rows cleaned:        {cleaning.n_checked}")
     print(f"    match outcome:       {counts}")
-    print(f"    resolution rate:     {report.resolution_rate():.1%}")
-    print(f"    geocoder requests:   {report.geocoder_requests}"
-          f" (quota exhausted: {report.geocoder_quota_exhausted})")
-    repaired = sum(1 for a in report.audits if a.repaired_fields)
-    print(f"    rows with repairs:   {repaired}")
+    print(f"    resolution rate:     {cleaning.resolution_rate():.1%}")
+    print(f"    geocoder requests:   {cleaning.geocoder_requests}"
+          f" (quota exhausted: {cleaning.geocoder_quota_exhausted})")
+    print(f"    rows with repairs:   {cleaning.repaired}")
 
     print("\n[2] Outlier filtering (values labelled as outliers are dropped)")
     for name, result in pre.univariate_outliers.items():

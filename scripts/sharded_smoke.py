@@ -4,7 +4,9 @@
 Runs one cold by-district sharded pass at a CI-sized certificate count,
 invalidates a single shard's spill, and re-runs warm — asserting the
 incremental contract (one recompute, every sibling reused, byte-equal
-output) rather than any hardware-dependent throughput number.  The full
+output) and that the merged outcome carries the whole plan's quality
+profile and cleaning summary, rather than any hardware-dependent
+throughput number.  The full
 1M-certificate experiment with RSS and speedup gates is A16
 (``pytest -m bench`` in benchmarks/).
 """
@@ -63,6 +65,14 @@ def main() -> int:
     )
 
     failures = []
+    merged = cold.preprocessing
+    if merged.quality.n_rows != plan.n_rows:
+        failures.append(
+            f"merged quality profiles {merged.quality.n_rows} rows, "
+            f"the plan has {plan.n_rows}"
+        )
+    if merged.cleaning.n_checked <= 0:
+        failures.append("merged cleaning summary checked no rows")
     if cache.shard_hits != len(plan.shards) - 1:
         failures.append(
             f"expected {len(plan.shards) - 1} warm shard hits, "

@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", default=None, metavar="SCHEME",
         help="run the pipeline sharded with out-of-core merge: "
              "'by-district', 'by-zip' or a shard count; results are "
-             "bit-identical to the monolithic path, peak memory is "
-             "bounded by the largest shard (default: monolithic)",
+             "bit-identical to the unsharded run, peak memory is "
+             "bounded by the largest shard (default: one in-memory shard)",
     )
     _add_perf_arguments(run)
 

@@ -16,13 +16,19 @@
 Each phase returns a typed outcome object and appends to the session's
 provenance log, so the pipeline can be run piecemeal (as the benchmarks
 do) or end-to-end via :meth:`Indice.run`.
+
+Tier 1 has one driver, :class:`repro.perf.shards.ShardRunner`:
+:meth:`Indice.preprocess` runs the one-shard plan over its table (rows in
+memory, nothing spilled), and :meth:`Indice.run_sharded` runs any other
+plan through the same extract → transform → merge code, so a sharded
+outcome is bit-identical to the one-shard plan over the same rows.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -50,7 +56,7 @@ from ..faults.policy import Deadline
 from ..geo.regions import Granularity
 from ..perf.cache import StageCache, fingerprint_table, fingerprint_value
 from ..perf.parallel import ParallelMap, feature_matrix
-from ..preprocessing.address_cleaner import AddressCleaner, CleaningReport
+from ..preprocessing.address_cleaner import AddressCleaner, CleaningSummary
 from ..preprocessing.dbscan import dbscan
 from ..preprocessing.geocoder import SimulatedGeocoder
 from ..preprocessing.kdistance import estimate_dbscan_params
@@ -59,7 +65,7 @@ from ..preprocessing.quality import QualityProfile, assess_quality
 from ..query.engine import Query, QueryEngine
 from ..query.predicates import Comparison
 from ..query.stakeholders import Stakeholder, profile_for
-from .config import ANALYZE_FIELDS, PREPROCESS_FIELDS, IndiceConfig
+from .config import ANALYZE_FIELDS, IndiceConfig
 from .session import ProvenanceLog
 
 __all__ = ["Indice", "PreprocessingOutcome", "AnalyticsOutcome"]
@@ -84,24 +90,32 @@ def _scatter_cleaned(table: Table, cleaned_city: Table, city_rows: np.ndarray) -
     return out.select(table.column_names)
 
 
-def _clean_city(
+def _transform_rows(
     table: Table,
     collection: EpcCollection,
     config: IndiceConfig,
     injector: FaultInjector | None,
     executor: ParallelMap,
-) -> tuple[Table, CleaningReport, np.ndarray, list[tuple[str, str, dict]]]:
-    """Clean the configured city's rows of *table*, scatter them back.
+) -> tuple[Table, CleaningSummary, QualityProfile, list[tuple[str, str, dict]]]:
+    """The per-row half of preprocessing over one shard's input *table*.
 
-    The referenced street map covers the city under analysis (the paper
+    Profiles the input's quality (a diagnostic pass, never mutating),
+    then cleans the configured city's rows and scatters them back.  The
+    referenced street map covers the city under analysis (the paper
     downloads it per city), so cleaning is scoped to that city's rows:
     matching out-of-city addresses against it would mis-geocode them.
-    This is the per-row half of preprocessing, and it logs nothing: it
-    returns the full-width cleaned table, the cleaning report, the
-    cleaned row indices and the ``(stage, action, detail)`` provenance
-    steps the pass owes the log — so a shard-transform worker can run it
-    and the parent still writes every step, in shard order.
+    Logs nothing: returns the full-width cleaned table, the cleaning
+    summary, the quality profile and the ``(stage, action, detail)``
+    provenance steps the pass owes the log — so a shard-transform worker
+    can run it and the parent still writes every step, in shard order.
     """
+    quality = assess_quality(
+        table,
+        schema=collection.schema,
+        hierarchy=collection.hierarchy,
+        attributes=list(config.features)
+        + [config.response, "certificate_id", "latitude", "longitude"],
+    )
     city_rows = np.flatnonzero(Comparison("city", "==", config.city).mask(table))
     geocoder = SimulatedGeocoder(
         collection.street_map, quota=config.geocoder_quota, injector=injector,
@@ -115,6 +129,7 @@ def _clean_city(
     clean_start = time.perf_counter()
     report = cleaner.clean_table(table.take(city_rows))
     clean_elapsed = time.perf_counter() - clean_start
+    summary = report.summary()
     steps = [
         ("preprocessing", "geospatial_cleaning", dict(
             elapsed_s=clean_elapsed,
@@ -125,15 +140,15 @@ def _clean_city(
             phi=config.cleaning.phi,
             n_jobs=executor.resolve_jobs(),
             rows_cleaned=len(city_rows),
-            resolution_rate=round(report.resolution_rate(), 4),
-            geocoder_requests=report.geocoder_requests,
+            resolution_rate=round(summary.resolution_rate(), 4),
+            geocoder_requests=summary.geocoder_requests,
         )),
     ] + [
         ("preprocessing", "degradation", degradation)
-        for degradation in report.degradations
+        for degradation in summary.degradations
     ]
     cleaned = _scatter_cleaned(table, report.table, city_rows)
-    return cleaned, report, city_rows, steps
+    return cleaned, summary, quality, steps
 
 
 @dataclass
@@ -141,12 +156,14 @@ class PreprocessingOutcome:
     """What tier 1 produced."""
 
     table: Table
-    cleaning_report: CleaningReport
+    #: What cleaning did, summed over the plan's shards.
+    cleaning: CleaningSummary
+    #: The input's quality profile (before cleaning), over every shard.
+    quality: QualityProfile
     univariate_outliers: dict[str, OutlierResult] = field(default_factory=dict)
     multivariate_noise: np.ndarray | None = None
     n_rows_in: int = 0
     n_rows_out: int = 0
-    quality: QualityProfile | None = None
 
     @property
     def n_outlier_rows(self) -> int:
@@ -305,86 +322,21 @@ class Indice:
     def preprocess(self, table: Table | None = None) -> PreprocessingOutcome:
         """Clean geospatial attributes, then drop outlier rows.
 
-        Cleaning is :func:`_clean_city`, which the sharded tier runs once
-        per shard; the outlier filter is the global :meth:`_outlier_pass`,
-        which the sharded merge runs too.
+        Runs the one-shard plan over *table* (default: the collection's)
+        through :class:`~repro.perf.shards.ShardRunner`, the one
+        preprocessing driver: its rows stay in memory, nothing is spilled,
+        and the whole outcome is memoized under one merge-cache key.
         """
-        cfg = self.config
-        table = table if table is not None else self.collection.table
-        n_in = table.n_rows
-        start = time.perf_counter()
-        deadline = self._stage_deadline()
+        # function-scope imports (here and in run_sharded): repro.perf.shards
+        # imports this module at top level, so the reverse edge (even a
+        # types-only one, which IMP001 counts) must stay out of the graph
+        from ..perf.shards import ShardPlan, ShardRunner
 
-        cache_key = None
-        if self.cache is not None:
-            cache_key = StageCache.key(
-                "preprocess",
-                fingerprint_table(table),
-                self._config_fingerprint(PREPROCESS_FIELDS),
-            )
-            found, cached = self._cache_get("preprocessing", cache_key)
-            if found:
-                elapsed = time.perf_counter() - start
-                self.log.record(
-                    "preprocessing", "stage_cache",
-                    hit=True, key=cache_key,
-                    elapsed_s=elapsed,
-                    rows_per_s=n_in / elapsed if elapsed > 0 else None,
-                )
-                self._preprocessed = cached
-                return cached
-
-        # diagnostic pass first: how dirty is the input? (never mutates)
-        quality = assess_quality(
-            table,
-            schema=self.collection.schema,
-            hierarchy=self.collection.hierarchy,
-            attributes=list(cfg.features)
-            + [cfg.response, "certificate_id", "latitude", "longitude"],
-        )
-        self.log.record(
-            "preprocessing", "quality_assessment",
-            missing_rate=round(quality.overall_missing_rate(), 4),
-            unlocated=quality.n_unlocated,
-            outside_region=quality.n_outside_region,
-            duplicates=quality.n_duplicate_certificates,
-        )
-
-        cleaned, report, __, steps = _clean_city(
-            table, self.collection, cfg, self.injector, self.executor
-        )
-        for stage, action, detail in steps:
-            self.log.record(stage, action, **detail)
-        univariate, noise_mask, keep, pass_degraded = self._outlier_pass(
-            lambda name: cleaned[name],
-            lambda kept: feature_matrix(cleaned.where(kept), cfg.features),
-            cleaned.n_rows,
-            deadline,
-        )
-        filtered = cleaned.where(keep)
-
-        outcome = PreprocessingOutcome(
-            table=filtered,
-            cleaning_report=report,
-            univariate_outliers=univariate,
-            multivariate_noise=noise_mask,
-            n_rows_in=n_in,
-            n_rows_out=filtered.n_rows,
-            quality=quality,
-        )
-        elapsed = time.perf_counter() - start
-        self.log.record(
-            "preprocessing", "stage_complete",
-            elapsed_s=elapsed,
-            rows_per_s=n_in / elapsed if elapsed > 0 else None,
-            rows_in=n_in, rows_out=filtered.n_rows,
-        )
-        # the cache key promises the fault-free result: never cache a
-        # degraded one, serving it from cache would be silent
-        if cache_key is not None and not (report.output_degraded or pass_degraded):
-            self._cache_put("preprocessing", cache_key, outcome)
-        self._preprocessed = outcome
-        return outcome
+        collection = self.collection
+        if table is not None:
+            collection = replace(collection, table=table)
+        plan = ShardPlan.from_collection(collection, 1)
+        return ShardRunner(self, plan).preprocess()
 
     @contextmanager
     def _logged_fallbacks(self, stage: str, work: str):
@@ -406,33 +358,27 @@ class Indice:
             )
 
     def _outlier_pass(
-        self,
-        column: Callable[[str], np.ndarray],
-        kept_features: Callable[[np.ndarray], np.ndarray],
-        n_rows: int,
-        deadline: Deadline,
+        self, table: Table, deadline: Deadline
     ) -> tuple[dict[str, OutlierResult], np.ndarray | None, np.ndarray, bool]:
-        """The global outlier filter over *n_rows* cleaned rows.
+        """The global outlier filter over the cleaned rows of *table*.
 
-        Rows flagged by the univariate detector on any analysis attribute
-        are dropped (Section 2.1.2), then optional DBSCAN drops the noise
-        among the survivors (rows with a missing feature are kept).  The
-        caller supplies where rows live: *column* gives one full numeric
-        column in original row order, *kept_features* the feature matrix
-        of the rows a keep mask selects — from the cleaned table in
-        :meth:`preprocess`, from the spills in the sharded merge.  Returns
-        ``(univariate results, noise mask over the survivors or None,
-        final keep mask, degraded)``; *degraded* means the *deadline* shed
-        DBSCAN, and such an output must never be cached.
+        *table* holds at least the analysis attributes of every cleaned
+        row, in original row order.  Rows flagged by the univariate
+        detector on any analysis attribute are dropped (Section 2.1.2),
+        then optional DBSCAN drops the noise among the survivors (rows
+        with a missing feature are kept).  Returns ``(univariate results,
+        noise mask over the survivors or None, final keep mask,
+        degraded)``; *degraded* means the *deadline* shed DBSCAN, and such
+        an output must never be cached.
         """
         cfg = self.config
-        keep = np.ones(n_rows, dtype=bool)
+        keep = np.ones(table.n_rows, dtype=bool)
         univariate: dict[str, OutlierResult] = {}
         for name in tuple(cfg.features) + (cfg.response,):
             method, params = cfg.outlier_overrides.get(
                 name, (cfg.outlier_method, cfg.outlier_params)
             )
-            result = detect_outliers(column(name), method, **params)
+            result = detect_outliers(table[name], method, **params)
             univariate[name] = result
             keep &= ~result.mask
             self.log.record(
@@ -453,7 +399,7 @@ class Indice:
                 budget_s=cfg.resilience.stage_timeout_s,
             )
             return univariate, None, keep, True
-        matrix, __ = standardize(kept_features(keep))
+        matrix, __ = standardize(feature_matrix(table.where(keep), cfg.features))
         estimate = estimate_dbscan_params(matrix)
         result = dbscan(matrix, estimate.eps, estimate.min_points)
         complete = ~np.isnan(matrix).any(axis=1)
@@ -469,18 +415,15 @@ class Indice:
     def run_sharded(self, plan):
         """Run the pipeline sharded per *plan* (out-of-core merge).
 
-        The sharded tier extracts, cleans and spills each shard as one
-        pool task (peak memory bounded by one shard per worker), memoizes
-        each shard under a shard-granular cache key, and runs the global
-        stages on columns gathered back in original row order — so the
-        outcome is bit-identical to the monolithic pipeline over the same
-        rows.  See
-        :mod:`repro.perf.shards`; returns its ``ShardedOutcome``.
+        :meth:`preprocess`'s driver over *plan*, then selection and
+        analytics.  With more than one shard it extracts, cleans and
+        spills each shard as one pool task (peak memory bounded by one
+        shard per worker), memoizes each shard under a shard-granular
+        cache key, and runs the global stages on columns gathered back in
+        original row order — so the outcome is bit-identical to the
+        one-shard plan over the same rows.  See :mod:`repro.perf.shards`;
+        returns its ``ShardedOutcome``.
         """
-        # function-scope import: repro.perf.shards imports this module at
-        # top level, so the reverse edge (even a types-only one, which
-        # IMP001 counts) must stay out of the module graph — hence no
-        # ShardPlan / ShardedOutcome annotations here
         from ..perf.shards import ShardRunner
 
         return ShardRunner(self, plan).run()

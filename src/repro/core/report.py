@@ -22,22 +22,19 @@ __all__ = ["generate_report"]
 
 
 def _cleaning_section(pre: PreprocessingOutcome) -> list[str]:
-    report = pre.cleaning_report
-    counts = {status: 0 for status in MatchStatus}
-    for audit in report.audits:
-        counts[audit.status] += 1
-    repaired = sum(1 for a in report.audits if a.repaired_fields)
+    cleaning = pre.cleaning
+    counts = {status: cleaning.counts.get(status, 0) for status in MatchStatus}
     return [
         "## Data cleaning",
         "",
-        f"- {len(report.audits)} addresses checked against the referenced street map",
+        f"- {cleaning.n_checked} addresses checked against the referenced street map",
         f"- {counts[MatchStatus.EXACT]} matched exactly, "
         f"{counts[MatchStatus.MATCHED]} accepted by string similarity, "
         f"{counts[MatchStatus.GEOCODED]} recovered by the geocoding service, "
         f"{counts[MatchStatus.UNRESOLVED]} left unresolved",
-        f"- {repaired} certificates had a field repaired "
+        f"- {cleaning.repaired} certificates had a field repaired "
         "(street name, civic number, ZIP code or coordinates)",
-        f"- overall resolution rate: {report.resolution_rate():.1%}",
+        f"- overall resolution rate: {cleaning.resolution_rate():.1%}",
         "",
         f"Outlier filtering removed {pre.n_outlier_rows} of {pre.n_rows_in} "
         f"certificates ({pre.n_outlier_rows / max(pre.n_rows_in, 1):.1%}); "

@@ -11,8 +11,6 @@ report its throughput without perturbing the ordinal record.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = ["ProvenanceStep", "ProvenanceLog"]
@@ -69,22 +67,6 @@ class ProvenanceLog:
         )
         self.steps.append(step)
         return step
-
-    @contextmanager
-    def timed(self, stage: str, action: str, rows: int | None = None, **detail):
-        """Context manager recording *action* with its wall-clock timing.
-
-        ``rows`` (when given) also derives a rows-per-second counter.  The
-        step is appended when the block exits, after the timed work::
-
-            with log.timed("preprocessing", "geospatial_cleaning", rows=n):
-                ...
-        """
-        start = time.perf_counter()
-        yield
-        elapsed = time.perf_counter() - start
-        rate = rows / elapsed if rows is not None and elapsed > 0 else None
-        self.record(stage, action, elapsed_s=elapsed, rows_per_s=rate, **detail)
 
     def total_elapsed(self, stage: str | None = None) -> float:
         """Sum of the timed steps' wall-clock seconds (optionally per stage)."""

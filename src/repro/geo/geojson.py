@@ -9,6 +9,7 @@ is implemented; coordinates follow the GeoJSON convention (lon, lat).
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -39,17 +40,24 @@ def point_feature(lat: float, lon: float, properties: dict[str, Any] | None = No
 def point_features(latitudes, longitudes, properties: dict[str, Any]) -> list[dict]:
     """One Point feature per row of aligned columns, a column at a time.
 
-    *properties* maps each property name to a column; NaN entries become
-    ``None`` (JSON ``null``).  Each feature equals the one
-    :func:`point_feature` builds from the row's Python values.
+    *properties* maps each property name to a column; non-finite float
+    entries (NaN, ±inf) become ``None`` (JSON ``null``), so the features
+    always pass a strict ``allow_nan=False`` dump.  Each feature equals
+    the one :func:`point_feature` builds from the row's Python values.
 
     >>> features = point_features([45.0], [7.5], {"eph": [float("nan")], "cluster": ["2"]})
     >>> features == [point_feature(45.0, 7.5, {"eph": None, "cluster": "2"})]
     True
+    >>> [f["properties"]["eph"] for f in point_features(
+    ...     [45.0, 45.1], [7.5, 7.6], {"eph": [float("inf"), -float("inf")]})]
+    [None, None]
     """
     names = list(properties)
     columns = [
-        [None if v != v else v for v in np.asarray(column).tolist()]
+        [
+            None if isinstance(v, float) and not math.isfinite(v) else v
+            for v in np.asarray(column).tolist()
+        ]
         for column in properties.values()
     ]
     return [

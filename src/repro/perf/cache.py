@@ -141,9 +141,10 @@ class StageCache:
         self.misses = 0
         self.read_errors = 0
         self.write_errors = 0
-        #: Shard-granular traffic (see :meth:`get_shard`); counted apart
+        #: Shard-granular traffic, counted by the sharded runner apart
         #: from the whole-stage hits/misses so a provenance log can show
-        #: "1 shard recomputed, 16 reused" after a single-district edit.
+        #: "1 shard recomputed, 16 reused" after a single-district edit; a
+        #: found record whose spill fails validation counts as a miss.
         self.shard_hits = 0
         self.shard_misses = 0
 
@@ -230,32 +231,14 @@ class StageCache:
             return False, None
 
     def count_shard_hit(self) -> None:
-        """Count one reused shard (see :meth:`get_shard`)."""
+        """Count one reused shard."""
         with self._lock:
             self.shard_hits += 1
 
     def count_shard_miss(self) -> None:
-        """Count one recomputed shard (see :meth:`get_shard`)."""
+        """Count one recomputed shard."""
         with self._lock:
             self.shard_misses += 1
-
-    def get_shard(self, key: str) -> tuple[bool, Any]:
-        """:meth:`get`, additionally counted in the shard-level counters.
-
-        The sharded runner drives ``shard_hits``/``shard_misses`` so they
-        measure exactly the incremental story (how many shards were reused
-        vs. recomputed), independent of the whole-stage counters the
-        monolithic path uses.  The runner counts through
-        :meth:`count_shard_hit` / :meth:`count_shard_miss` directly
-        because a found record whose spill file fails validation must be
-        demoted to a miss.
-        """
-        found, value = self.get(key)
-        if found:
-            self.count_shard_hit()
-        else:
-            self.count_shard_miss()
-        return found, value
 
     def put(self, key: str, value: Any) -> None:
         """Store *value* under *key* (memory, plus disk when configured).

@@ -1,48 +1,49 @@
-"""District/ZIP-keyed sharded execution of the INDICE pipeline.
+"""District/ZIP-keyed sharded execution: tier 1's one driver.
 
-The monolithic pipeline holds the whole collection (and every
-intermediate) in memory and fingerprints it as one blob: a single dirty
-row invalidates the world, and the 25k-scale memory ceiling blocks the
-million-certificate tier.  This module turns the flow into the G-ETL
-shape — extract → per-shard transform → deterministic merge → post-merge
-aggregation:
+Preprocessing has the G-ETL shape — extract → per-shard transform →
+deterministic merge — and the unsharded run is the plan of one shard.
+Shards bound memory (the million-certificate tier) and confine a dirty
+row's cache invalidation to its own shard:
 
 * a :class:`ShardPlan` names the shards (one per Turin district or ZIP
   code, an ``other`` shard for the remaining towns, or ``N`` equal
   parts) and knows how to *extract* each one — either generated
   independently per shard key (:func:`repro.dataset.synthetic
   .generate_epc_shard`) or sliced out of an existing collection;
-* the :class:`ShardRunner` cleans each shard with the same cleaning
-  pass the monolithic path uses (:func:`repro.core.engine._clean_city`,
-  same geocoder) and *spills* the cleaned shard to disk in the columnar
-  codec of :mod:`repro.perf.spill`.  The transforms are independent, so
-  the missed ones run as coarse tasks on the engine's pool
-  (:meth:`~repro.perf.parallel.ParallelMap.map_tasks`, one shard per
-  task, each cleaning serially); cache lookups, spill validation, every
-  log record and every cache write stay in the parent, in shard order.
-  A single miss runs inline, and so does every task when the engine has
-  a fault injector — the injector's per-site arrival order is parent
-  state.  Peak RSS stays bounded by two resident shards across
-  processes (one per worker), never the dataset;
+* the :class:`ShardRunner` profiles and cleans each shard
+  (:func:`repro.core.engine._transform_rows`) and *spills* it to disk in
+  the columnar codec of :mod:`repro.perf.spill`.  The missed shards run
+  as coarse tasks on the engine's pool (one shard per task, each
+  cleaning serially); cache lookups, spill validation, every log record
+  and every cache write stay in the parent, in shard order.  A single
+  miss runs inline, and so does every task when the engine has a fault
+  injector — the injector's per-site arrival order is parent state.
+  Peak RSS stays bounded by two resident shards across processes;
 * the merge runs the engine's one global outlier pass
-  (:meth:`~repro.core.engine.Indice._outlier_pass`, the code
-  ``Indice.preprocess`` runs) and supplies only each full analysis column
-  and the kept rows' features, gathered from the spills **in original
-  row order** — so the pass returns the monolithic keep mask, and the
-  merged table gathered from it (then selection, K-means, rules) is
-  bit-identical (``Table.__eq__``) to the monolithic serial pipeline.
-  Each of the three gathers opens every spill once, one at a time;
-* every per-shard transform is memoized under the shard-granular key
-  ``(config_fingerprint, shard_key, shard_content_hash)``
-  (:meth:`StageCache.shard_key`), so editing one district re-runs one
-  shard plus the cheap post-merge stages only; the cache's
-  ``shard_hits``/``shard_misses`` land in the provenance log.
+  (:meth:`~repro.core.engine.Indice._outlier_pass`) over the analysis
+  columns gathered from the spills **in original row order**, then
+  gathers the kept rows, each gather opening every spill once — so the
+  merged table (then selection, K-means, rules) is bit-identical
+  (``Table.__eq__``) to the one-shard plan over the same rows.  The
+  outcome's quality profile sums the shards' counts but recounts
+  duplicate ids over the gathered ids (a duplicate can straddle shards);
+  its cleaning summary is summed over the shards;
+* each shard's transform is memoized under ``(config_fingerprint,
+  shard_key, shard_content_hash)`` (:meth:`StageCache.shard_key`), so
+  editing one district re-runs one shard plus the post-merge stages;
+  the merged outcome is memoized under the ordered shard contents.
 
-Equivalence caveat: the geocoder quota is metered *per cleaning pass*,
-so a sharded run gives each shard a fresh quota.  When the quota never
-binds (the normal case) per-row cleaning is a pure function and sharded
-output is bit-identical; a quota exhausted mid-shard is a logged
-degradation in either mode, exactly like the monolithic path.
+**The one-shard plan** (:meth:`Indice.preprocess`) keeps its cleaned
+rows in memory: its extract is the table itself, it writes no spill and
+no shard-level cache record, it fingerprints its input only for the
+merge key (so only when the engine has a cache), and it logs no
+``sharding`` records.  Spilling rows that fit in memory anyway would add
+a spill write, a fingerprint and the gathers' re-reads to every cold run.
+
+Equivalence caveat for plans of more than one shard: the geocoder quota
+is metered *per cleaning pass*, so each shard gets a fresh quota.  When
+the quota never binds (the normal case) sharded output is bit-identical;
+a quota exhausted mid-shard is a logged degradation, never cached.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from ..core.engine import (
     AnalyticsOutcome,
     Indice,
     PreprocessingOutcome,
-    _clean_city,
+    _transform_rows,
 )
 from ..dataset.noise import NoiseConfig, apply_noise
 from ..dataset.synthetic import (
@@ -75,7 +76,8 @@ from ..dataset.synthetic import (
 from ..dataset.table import Column, ColumnKind, Table
 from ..faults.plan import InjectedIOError, TransientServiceError
 from ..faults.policy import retry_with_backoff
-from ..preprocessing.address_cleaner import CleaningReport
+from ..preprocessing.address_cleaner import CleaningSummary
+from ..preprocessing.quality import QualityProfile, merge_quality
 # bound only so the benchmark span targets (benchmarks/e2e/spans.py) resolve
 from ..preprocessing.dbscan import dbscan  # noqa: F401
 from ..preprocessing.kdistance import estimate_dbscan_params  # noqa: F401
@@ -99,7 +101,7 @@ class ShardSpec:
 
     ``base`` is the shard's offset in the merged (original) row order;
     generator shards occupy ``[base, base + n_rows)``, partition shards
-    carry their explicit original ``rows`` instead.
+    carry their explicit original ``rows`` (ascending) instead.
     """
 
     key: str
@@ -124,7 +126,6 @@ class ShardStat:
     cache_hit: bool
     elapsed_s: float
     spill_bytes: int
-    degradations: int = 0
 
 
 @dataclass
@@ -134,17 +135,17 @@ class ShardedOutcome:
     preprocessing: PreprocessingOutcome
     analytics: AnalyticsOutcome
     shard_stats: list[ShardStat] = field(default_factory=list)
+    #: Where the spills live ("" for the one-shard plan, which has none).
     spill_dir: str = ""
-    #: The column projection the merge materialized (None = every column).
-    columns: tuple[str, ...] | None = None
 
 
 @dataclass
 class _ShardRecord:
     """The picklable per-shard cache entry: where the cleaned bytes live.
 
-    Deliberately tiny — the cleaned rows themselves stay in the spill
-    file the record points at; a warm hit revalidates the spill (magic,
+    Deliberately small — the cleaned rows themselves stay in the spill
+    file the record points at, next to the shard's cleaning summary and
+    input quality profile; a warm hit revalidates the spill (magic,
     size, payload checksum) before trusting it, so a deleted or corrupted
     spill degrades to an ordinary miss, never to wrong data.
     """
@@ -152,10 +153,8 @@ class _ShardRecord:
     key: str
     spill_name: str
     n_rows: int
-    sha256: str
-    city_rows: int
-    resolution_rate: float
-    geocoder_requests: int
+    cleaning: CleaningSummary
+    quality: QualityProfile
 
 
 class ShardPlan:
@@ -185,7 +184,7 @@ class ShardPlan:
         self.noise = noise
         #: Optional column projection for the merged analytics table.
         #: ``None`` materializes every column (bit-identical to the
-        #: monolithic pipeline); a narrow tuple bounds merge memory for
+        #: one-shard plan); a narrow tuple bounds merge memory for
         #: million-row runs (it must cover the analysis + dashboard
         #: columns the downstream stages read).
         self.columns = columns
@@ -316,7 +315,11 @@ class ShardPlan:
         return replace(self.noise, seed=int(mixer.integers(0, 2**31)))
 
     def extract(self, spec: ShardSpec) -> Table:
-        """Materialize one shard's input rows (generate or slice)."""
+        """Materialize one shard's input rows (generate or slice).
+
+        A partition shard holding every row is the table itself (its rows
+        are ascending), so the one-shard plan copies nothing.
+        """
         if spec.recipe is not None:
             assert self.generator is not None
             shard = generate_epc_shard(
@@ -327,15 +330,18 @@ class ShardPlan:
             if noise is not None:
                 return apply_noise(shard, noise).table
             return shard.table
-        return self.collection.table.take(spec.original_rows())
+        table = self.collection.table
+        if spec.n_rows == table.n_rows:
+            return table
+        return table.take(spec.original_rows())
 
-    def shard_fingerprint(self, spec: ShardSpec, table: Table | None) -> str:
+    def shard_fingerprint(self, spec: ShardSpec) -> str:
         """The shard's content hash for the shard-granular cache key.
 
         Generator shards are content-addressed by their *recipe* (the
         generation is deterministic, so the recipe **is** the content),
         which lets a warm run skip even the extraction.  Partition shards
-        hash the extracted rows.
+        hash the extracted rows, one shard at a time.
         """
         if spec.recipe is not None:
             return fingerprint_value(
@@ -345,14 +351,13 @@ class ShardPlan:
                     "noise": self._shard_noise(spec.key),
                 }
             )
-        assert table is not None
-        return fingerprint_table(table)
+        return fingerprint_table(self.extract(spec))
 
     def merged_input_table(self) -> Table:
-        """The monolithic-equivalent input (all shards, original order).
+        """The whole input of the plan (all shards, original order).
 
-        This is what the equivalence tests feed the monolithic serial
-        pipeline; production runs never materialize it.
+        This is what the equivalence tests feed the one-shard plan
+        (``Indice.preprocess``); production runs never materialize it.
         """
         tables = [self.extract(spec) for spec in self.shards]
         merged = tables[0]
@@ -380,14 +385,14 @@ class _ShardResult:
 
     record: _ShardRecord
     stat: ShardStat
-    #: the cleaning pass's provenance steps, replayed by the parent
+    #: the transform's provenance steps, replayed by the parent
     steps: list[tuple[str, str, dict]]
-    #: cleaning degraded the rows (a geocoder shortfall): never cache it
-    degraded: bool
     #: gazetteer lookups the task's index copy resolved, for the parent's
     #: index to adopt — so a later in-process re-run finds them memoized,
     #: as it would had the parent cleaned the shard itself
     resolved: list
+    #: the cleaned rows of a one-shard plan, which are never spilled
+    table: Table | None = None
 
 
 #: ``(plan, config, injector, cleaning executor, spill dir)`` of the
@@ -403,53 +408,50 @@ def _init_transform_worker(state: tuple | None) -> None:
 
 
 def _transform_shard(task: _ShardTask) -> _ShardResult:
-    """Extract, clean and spill one shard (a pool worker, or inline).
+    """Extract, profile, clean and spill one shard (a pool worker, or inline).
 
-    Logs nothing and touches no cache: the parent replays the returned
-    provenance steps and writes the cache entry, in shard order.
+    With no spill dir (the one-shard plan) the cleaned rows come back in
+    the result instead.  Logs nothing and touches no cache: the parent
+    replays the returned provenance steps and writes the cache entry, in
+    shard order.
     """
     plan, config, injector, executor, spill_dir = _TRANSFORM_STATE
     started = time.perf_counter()
     spec = task.spec
     index = plan.collection.street_map.match_index()
     mark = index.memo_size()
-    cleaned, report, city_rows, steps = _clean_city(
+    cleaned, cleaning, quality, steps = _transform_rows(
         plan.extract(spec), plan.collection, config, injector, executor
     )
-    path = spill_dir / task.spill_name
-    # a transiently failing spill write is retried against a
-    # still-consistent world (the write is atomic), so a retry can
-    # never duplicate or drop rows — re-spilling is idempotent
-    spill_bytes = retry_with_backoff(
-        lambda: write_spill(cleaned, path, injector),
-        policy=config.resilience.retry_policy(seed=config.seed),
-        retry_on=(TransientServiceError, InjectedIOError),
-    )
+    spill_bytes = 0
+    if spill_dir is not None:
+        path = spill_dir / task.spill_name
+        # a transiently failing spill write is retried against a
+        # still-consistent world (the write is atomic), so a retry can
+        # never duplicate or drop rows — re-spilling is idempotent
+        spill_bytes = retry_with_backoff(
+            lambda: write_spill(cleaned, path, injector),
+            policy=config.resilience.retry_policy(seed=config.seed),
+            retry_on=(TransientServiceError, InjectedIOError),
+        )
     record = _ShardRecord(
-        key=spec.key,
-        spill_name=task.spill_name,
-        n_rows=cleaned.n_rows,
-        sha256="",
-        city_rows=len(city_rows),
-        resolution_rate=report.resolution_rate(),
-        geocoder_requests=report.geocoder_requests,
+        spec.key, task.spill_name, cleaned.n_rows, cleaning, quality
     )
-    stat = ShardStat(
-        spec.key, cleaned.n_rows, False, time.perf_counter() - started,
-        spill_bytes, degradations=len(report.degradations),
-    )
-    return _ShardResult(
-        record, stat, steps, report.output_degraded, index.memo_since(mark)
-    )
+    elapsed = time.perf_counter() - started
+    stat = ShardStat(spec.key, cleaned.n_rows, False, elapsed, spill_bytes)
+    resident = cleaned if spill_dir is None else None
+    return _ShardResult(record, stat, steps, index.memo_since(mark), resident)
 
 
 class ShardRunner:
     """Execute one :class:`ShardPlan` through an :class:`Indice` engine.
 
-    The runner borrows the engine's config, cache, executor, fault
-    injector and provenance log, so a sharded run reads exactly like a
-    monolithic one in the log — plus the per-shard transform records and
-    the shard-cache counters.
+    The one preprocessing driver: :meth:`preprocess` is the engine's
+    tier 1 over the plan, :meth:`run` adds selection and analytics.  The
+    runner borrows the engine's config, cache, executor, fault injector
+    and provenance log, so every plan reads alike in the log — plus, with
+    more than one shard, the per-shard transform records and the
+    shard-cache counters.
     """
 
     def __init__(self, engine: Indice, plan: ShardPlan):
@@ -460,15 +462,18 @@ class ShardRunner:
             )
         self.engine = engine
         self.plan = plan
+        #: where the spills live; None for the one-shard plan
+        self.spill_dir: Path | None = None
+        #: the last run's per-shard transform costs, in shard order
+        self.stats: list[ShardStat] = []
+        #: the one-shard plan's cleaned rows, held until the merge
+        self._resident: Table | None = None
 
     # -- per-shard transform ----------------------------------------------
 
-    def _spill_paths(self, spill_dir: Path, records: list[_ShardRecord]) -> dict[str, Path]:
-        return {rec.key: spill_dir / rec.spill_name for rec in records}
-
-    def _validate_spill(self, record: _ShardRecord, spill_dir: Path) -> bool:
+    def _validate_spill(self, record: _ShardRecord) -> bool:
         """Whether a warm record's spill is present and checksum-clean."""
-        path = spill_dir / record.spill_name
+        path = self.spill_dir / record.spill_name
         try:
             with SpillFile.open(path, self.engine.injector) as spill:
                 spill.verify()
@@ -477,9 +482,9 @@ class ShardRunner:
         return True
 
     def _transform_shards(
-        self, config_fp: str, spill_dir: Path
-    ) -> tuple[list[_ShardRecord], list[ShardStat], list[str]]:
-        """Clean and spill every missed shard; reuse every warm spill.
+        self, config_fp: str, content_fps: list[str] | None
+    ) -> list[_ShardRecord]:
+        """Clean every missed shard; reuse every warm spill.
 
         The cache key is ``(preprocess-config fingerprint, shard key,
         shard content hash)``; a record only counts as a hit when its
@@ -488,84 +493,82 @@ class ShardRunner:
         counting run here in the parent; only the misses become
         :func:`_transform_shard` tasks.  The parent then writes each
         shard's provenance steps (tagged with the shard key) and cache
-        entry in shard order, however the tasks ran.  Returns records,
-        stats and content fingerprints in shard order — :meth:`run` folds
-        the fingerprints into the post-merge memo key.
+        entry in shard order, however the tasks ran.  The one-shard plan
+        has no shard-level memo and keeps its rows resident instead.
+        Returns the records in shard order and sets :attr:`stats`.
         """
         engine = self.engine
         cache = engine.cache
         plan = self.plan
+        spilled = self.spill_dir is not None
         hits: dict[int, tuple[_ShardRecord, ShardStat]] = {}
         tasks: list[_ShardTask] = []
         lookups: dict[int, tuple[str | None, float]] = {}
-        content_fps: list[str] = []
         for index, spec in enumerate(plan.shards):
             started = time.perf_counter()
-            # partition shards hash their rows; the task re-extracts them,
-            # so the parent never holds more than one shard's input
-            table = plan.extract(spec) if spec.recipe is None else None
-            content_fp = plan.shard_fingerprint(spec, table)
-            content_fps.append(content_fp)
-            cache_key = None
-            if cache is not None:
-                cache_key = cache.shard_key(
-                    "preprocess", config_fp, spec.key, content_fp
-                )
-                found, record = engine._cache_get("sharding", cache_key)
-                if found and self._validate_spill(record, spill_dir):
-                    cache.count_shard_hit()
-                    hits[index] = (record, ShardStat(
-                        spec.key, record.n_rows, True,
-                        time.perf_counter() - started,
-                        (spill_dir / record.spill_name).stat().st_size,
-                    ))
-                    continue
-                cache.count_shard_miss()
-            spill_key = cache_key or fingerprint_value(
-                (config_fp, spec.key, content_fp)
-            )[:32]
-            tasks.append(_ShardTask(index, spec, f"{spill_key}.spill"))
+            cache_key, spill_name = None, ""
+            if spilled:
+                if cache is not None:
+                    cache_key = cache.shard_key(
+                        "transform", config_fp, spec.key, content_fps[index]
+                    )
+                    found, record = engine._cache_get("sharding", cache_key)
+                    if found and self._validate_spill(record):
+                        cache.count_shard_hit()
+                        hits[index] = (record, ShardStat(
+                            spec.key, record.n_rows, True,
+                            time.perf_counter() - started,
+                            (self.spill_dir / record.spill_name).stat().st_size,
+                        ))
+                        continue
+                    cache.count_shard_miss()
+                spill_key = cache_key or fingerprint_value(
+                    (config_fp, spec.key, content_fps[index])
+                )[:32]
+                spill_name = f"{spill_key}.spill"
+            tasks.append(_ShardTask(index, spec, spill_name))
             lookups[index] = (cache_key, time.perf_counter() - started)
 
         results = dict(
-            zip((task.index for task in tasks), self._run_tasks(tasks, spill_dir))
+            zip((task.index for task in tasks), self._run_tasks(tasks))
         )
         gazetteer = plan.collection.street_map.match_index()
-        records, stats = [], []
+        records, self.stats = [], []
         for index, spec in enumerate(plan.shards):
             if index in results:
                 result = results[index]
                 gazetteer.adopt(result.resolved)
                 cache_key, lookup_s = lookups[index]
+                tag = {"shard": spec.key} if spilled else {}
                 for stage, action, detail in result.steps:
-                    engine.log.record(stage, action, shard=spec.key, **detail)
-                if cache_key is not None and not result.degraded:
+                    engine.log.record(stage, action, **tag, **detail)
+                # a degraded shard is not the fault-free one: never cache it
+                if cache_key is not None and not result.record.cleaning.output_degraded:
                     engine._cache_put("sharding", cache_key, result.record)
                 result.stat.elapsed_s += lookup_s
                 record, stat = result.record, result.stat
+                self._resident = result.table
             else:
                 record, stat = hits[index]
             records.append(record)
-            stats.append(stat)
-            engine.log.record(
-                "sharding", "shard_transform",
-                shard=spec.key, rows=stat.rows, cache_hit=stat.cache_hit,
-                elapsed_s=stat.elapsed_s, spill_bytes=stat.spill_bytes,
-                resolution_rate=round(record.resolution_rate, 4),
-            )
-        return records, stats, content_fps
+            self.stats.append(stat)
+            if spilled:
+                engine.log.record(
+                    "sharding", "shard_transform",
+                    shard=spec.key, rows=stat.rows, cache_hit=stat.cache_hit,
+                    elapsed_s=stat.elapsed_s, spill_bytes=stat.spill_bytes,
+                    resolution_rate=round(record.cleaning.resolution_rate(), 4),
+                )
+        return records
 
-    def _run_tasks(
-        self, tasks: list[_ShardTask], spill_dir: Path
-    ) -> list[_ShardResult]:
+    def _run_tasks(self, tasks: list[_ShardTask]) -> list[_ShardResult]:
         """Run the transform *tasks* on the engine's pool or inline.
 
         Two or more misses with two jobs run one task per worker, each
         cleaning serially (no nested pools).  With a fault injector the
         tasks run inline in shard order instead: the injector's per-site
         arrival order is parent state, and it is what makes a chaos run
-        reproducible.  Inline tasks clean through the engine's executor,
-        exactly as an unsharded pass does.
+        reproducible.  Inline tasks clean through the engine's executor.
         """
         engine = self.engine
         pooled = engine.injector is None and (
@@ -579,7 +582,7 @@ class ShardRunner:
             # own provenance steps already log it
             executor, cleaner = ParallelMap(), engine.executor
             watch = contextlib.nullcontext()
-        state = (self.plan, engine.config, engine.injector, cleaner, spill_dir)
+        state = (self.plan, engine.config, engine.injector, cleaner, self.spill_dir)
         try:
             with watch:
                 return executor.map_tasks(
@@ -589,25 +592,32 @@ class ShardRunner:
         finally:
             _init_transform_worker(None)  # drop the parent's reference
 
-    # -- merge-side gathers ----------------------------------------------
+    # -- merge-side reads --------------------------------------------------
 
-    def _gather(
+    def _rows(
         self,
-        paths: dict[str, Path],
-        names: tuple[str, ...] | None,
-        keep: np.ndarray,
-    ) -> list[Column]:
+        records: list[_ShardRecord],
+        names: list[str] | tuple[str, ...] | None,
+        keep: np.ndarray | None,
+    ) -> Table:
         """The named columns over the rows *keep* selects, in row order.
 
-        Each spill is opened once, one at a time, and scatters the kept
-        rows of every named column into their rank positions among the
-        kept original indices — so each result is exactly the monolithic
-        ``column[keep]``.  ``names=None`` gathers every spilled column.
+        ``names=None`` reads every column, ``keep=None`` every row.  The
+        one-shard plan slices its resident rows; otherwise each spill is
+        opened once, one at a time, and scatters the kept rows of every
+        named column into their rank positions among the kept original
+        indices — so each column is exactly the resident ``column[keep]``.
         """
+        if self._resident is not None:
+            table = self._resident if names is None else self._resident.select(names)
+            return table if keep is None else table.where(keep)
+        if keep is None:
+            keep = np.ones(self.plan.n_rows, dtype=bool)
         kept_sorted = np.flatnonzero(keep)
         columns: list[Column] = []
-        for spec in self.plan.shards:
-            with SpillFile.open(paths[spec.key], self.engine.injector) as spill:
+        for spec, record in zip(self.plan.shards, records):
+            path = self.spill_dir / record.spill_name
+            with SpillFile.open(path, self.engine.injector) as spill:
                 if not columns:
                     kinds = {col.name: col.kind for col in spill.specs}
                     columns = [
@@ -624,12 +634,12 @@ class ShardRunner:
                 positions = np.searchsorted(kept_sorted, orig[inside])
                 for column in columns:
                     column.values[positions] = spill.column(column.name).values[inside]
-        return columns
+        return Table(columns)
 
-    # -- the full sharded pipeline ----------------------------------------
+    # -- the driver --------------------------------------------------------
 
-    def run(self) -> ShardedOutcome:
-        """extract → per-shard transform → merge → post-merge analytics."""
+    def preprocess(self) -> PreprocessingOutcome:
+        """extract → per-shard transform → merge: the engine's tier 1."""
         engine = self.engine
         cfg = engine.config
         log = engine.log
@@ -637,46 +647,45 @@ class ShardRunner:
         total = plan.n_rows
         started = time.perf_counter()
         deadline = engine._stage_deadline()
-        if cfg.spill_dir:
-            spill_dir = Path(cfg.spill_dir)
-            spill_dir.mkdir(parents=True, exist_ok=True)
-        else:
-            spill_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
-        log.record(
-            "sharding", "plan",
-            scheme=plan.scheme, shards=len(plan.shards), rows=total,
-            spill_dir=str(spill_dir),
-        )
         config_fp = engine._config_fingerprint(PREPROCESS_FIELDS)
+        spilled = len(plan.shards) > 1
+        content_fps = None
+        if spilled or engine.cache is not None:
+            content_fps = [plan.shard_fingerprint(spec) for spec in plan.shards]
 
-        records, stats, content_fps = self._transform_shards(
-            config_fp, spill_dir
-        )
-        if engine.cache is not None:
+        if spilled:
+            if cfg.spill_dir:
+                self.spill_dir = Path(cfg.spill_dir)
+                self.spill_dir.mkdir(parents=True, exist_ok=True)
+            else:
+                self.spill_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
             log.record(
-                "sharding", "shard_cache",
-                hits=engine.cache.shard_hits,
-                misses=engine.cache.shard_misses,
+                "sharding", "plan",
+                scheme=plan.scheme, shards=len(plan.shards), rows=total,
+                spill_dir=str(self.spill_dir),
             )
+            records = self._transform_shards(config_fp, content_fps)
+            if engine.cache is not None:
+                log.record(
+                    "sharding", "shard_cache",
+                    hits=engine.cache.shard_hits,
+                    misses=engine.cache.shard_misses,
+                )
 
-        # post-merge memo: the merged outcome is a pure function of
-        # (preprocess config, ordered shard contents, merge projection),
-        # so when no shard's content changed the fences / DBSCAN / gather
-        # phase is skipped entirely — editing one district re-runs one
-        # shard plus the post-merge stages only, and re-running with
-        # nothing edited re-runs nothing
+        # merge memo: the outcome is a pure function of (preprocess
+        # config, ordered shard contents, merge projection), so when no
+        # shard's content changed the fences / DBSCAN / gather phase is
+        # skipped entirely — and the one-shard plan skips its cleaning too
         merge_key = None
         if engine.cache is not None:
             merge_key = StageCache.key(
-                "sharded_merge",
+                "preprocess",
                 config_fp,
                 fingerprint_value(
                     {
                         "scheme": plan.scheme,
                         "columns": (
-                            list(plan.columns)
-                            if plan.columns is not None
-                            else None
+                            list(plan.columns) if plan.columns is not None else None
                         ),
                         "shards": [
                             [spec.key, fp]
@@ -685,71 +694,58 @@ class ShardRunner:
                     }
                 ),
             )
-            found, cached = engine._cache_get("sharding", merge_key)
+            found, cached = engine._cache_get("preprocessing", merge_key)
             if found:
                 elapsed = time.perf_counter() - started
                 log.record(
-                    "sharding", "merge_cache",
+                    "preprocessing", "merge_cache",
                     hit=True, key=merge_key, elapsed_s=elapsed,
+                    rows_per_s=total / elapsed if elapsed > 0 else None,
                 )
                 engine._preprocessed = cached
-                selected = engine.select_case_study(table=cached.table)
-                analytics = engine.analyze(table=selected)
-                return ShardedOutcome(
-                    preprocessing=cached,
-                    analytics=analytics,
-                    shard_stats=stats,
-                    spill_dir=str(spill_dir),
-                    columns=plan.columns,
-                )
+                return cached
+        if not spilled:
+            records = self._transform_shards(config_fp, content_fps)
 
-        paths = self._spill_paths(spill_dir, records)
         merge_started = time.perf_counter()
-        # the global outlier pass reads full columns and the kept rows'
-        # features gathered back in original row order — exactly what the
-        # monolithic pass reads, so the keep mask is bit-identical
-        attributes = tuple(cfg.features) + (cfg.response,)
-        full = {
-            column.name: column.values
-            for column in self._gather(paths, attributes, np.ones(total, bool))
-        }
-        univariate, noise_mask, keep, pass_degraded = engine._outlier_pass(
-            full.__getitem__,
-            lambda kept: np.column_stack(
-                [column.values for column in self._gather(paths, cfg.features, kept)]
-            ),
-            total,
-            deadline,
+        analysis = self._rows(
+            records,
+            list(dict.fromkeys([*cfg.features, cfg.response, "certificate_id"])),
+            None,
         )
-        merged = Table(self._gather(paths, plan.columns, keep))
-        merge_elapsed = time.perf_counter() - merge_started
+        quality = merge_quality(
+            [record.quality for record in records], analysis["certificate_id"]
+        )
         log.record(
-            "sharding", "merge",
-            rows_in=total, rows_out=merged.n_rows, columns=merged.n_columns,
-            elapsed_s=merge_elapsed,
+            "preprocessing", "quality_assessment",
+            missing_rate=round(quality.overall_missing_rate(), 4),
+            unlocated=quality.n_unlocated,
+            outside_region=quality.n_outside_region,
+            duplicates=quality.n_duplicate_certificates,
         )
+        univariate, noise_mask, keep, pass_degraded = engine._outlier_pass(
+            analysis, deadline
+        )
+        merged = self._rows(records, plan.columns, keep)
+        self._resident = None
+        if spilled:
+            log.record(
+                "sharding", "merge",
+                rows_in=total, rows_out=merged.n_rows, columns=merged.n_columns,
+                elapsed_s=time.perf_counter() - merge_started,
+            )
 
-        report = CleaningReport(
-            table=merged.take(np.empty(0, dtype=np.intp)),
-            geocoder_requests=sum(r.geocoder_requests for r in records),
-        )
-        preprocessing = PreprocessingOutcome(
+        cleaning = CleaningSummary.combine([record.cleaning for record in records])
+        outcome = PreprocessingOutcome(
             table=merged,
-            cleaning_report=report,
+            cleaning=cleaning,
+            quality=quality,
             univariate_outliers=univariate,
             multivariate_noise=noise_mask,
             n_rows_in=total,
             n_rows_out=merged.n_rows,
-            quality=None,
         )
-        engine._preprocessed = preprocessing
-        # a degraded merge (deadline-skipped DBSCAN, degraded shards) is
-        # not a pure function of the inputs — never memoize it
-        merge_degraded = pass_degraded or any(
-            stat.degradations for stat in stats
-        )
-        if merge_key is not None and not merge_degraded:
-            engine._cache_put("sharding", merge_key, preprocessing)
+        engine._preprocessed = outcome
         elapsed = time.perf_counter() - started
         log.record(
             "preprocessing", "stage_complete",
@@ -757,15 +753,20 @@ class ShardRunner:
             rows_per_s=total / elapsed if elapsed > 0 else None,
             rows_in=total, rows_out=merged.n_rows,
         )
+        # the key promises the fault-free result: a degraded outcome (a
+        # geocoder shortfall, a deadline-shed DBSCAN) is never cached,
+        # serving it from cache would be silent
+        if merge_key is not None and not (pass_degraded or cleaning.output_degraded):
+            engine._cache_put("preprocessing", merge_key, outcome)
+        return outcome
 
-        # post-merge aggregation: the ordinary selection + analytics
-        # stages over the merged table — same code, same caches, same log
-        selected = engine.select_case_study(table=merged)
-        analytics = engine.analyze(table=selected)
+    def run(self) -> ShardedOutcome:
+        """:meth:`preprocess`, then the ordinary selection + analytics
+        stages over the merged table — same code, same caches, same log."""
+        preprocessing = self.preprocess()
         return ShardedOutcome(
             preprocessing=preprocessing,
-            analytics=analytics,
-            shard_stats=stats,
-            spill_dir=str(spill_dir),
-            columns=plan.columns,
+            analytics=self.engine.analyze(),
+            shard_stats=self.stats,
+            spill_dir=str(self.spill_dir or ""),
         )

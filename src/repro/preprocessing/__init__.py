@@ -4,6 +4,7 @@ from .address_cleaner import (
     AddressCleaner,
     CleaningConfig,
     CleaningReport,
+    CleaningSummary,
     MatchStatus,
     RowAudit,
 )
@@ -35,12 +36,13 @@ from .expert_store import (
     ExpertConfiguration,
     TRACKED_ATTRIBUTES,
 )
-from .quality import AttributeQuality, QualityProfile, assess_quality
+from .quality import AttributeQuality, QualityProfile, assess_quality, merge_quality
 
 __all__ = [
     "AddressCleaner",
     "CleaningConfig",
     "CleaningReport",
+    "CleaningSummary",
     "MatchStatus",
     "RowAudit",
     "GeocodeResponse",
@@ -67,4 +69,5 @@ __all__ = [
     "AttributeQuality",
     "QualityProfile",
     "assess_quality",
+    "merge_quality",
 ]

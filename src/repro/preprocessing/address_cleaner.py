@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,10 @@ from ..text.levenshtein import GazetteerIndex
 from ..text.normalize import canonical_house_number, normalize_address
 from .geocoder import GeocodeStatus, QuotaExceededError, SimulatedGeocoder
 
-__all__ = ["CleaningConfig", "MatchStatus", "RowAudit", "CleaningReport", "AddressCleaner"]
+__all__ = [
+    "CleaningConfig", "MatchStatus", "RowAudit", "CleaningSummary",
+    "CleaningReport", "AddressCleaner",
+]
 
 #: Default acceptance threshold for Levenshtein similarity.
 DEFAULT_PHI = 0.80
@@ -84,6 +88,60 @@ class RowAudit:
 
 
 @dataclass
+class CleaningSummary:
+    """What a cleaning pass did, without its rows.
+
+    The counts a :class:`CleaningReport` reduces to — per-status audit
+    counts, repaired rows, geocoder traffic and every degradation — and
+    all of them additive, so the summary of a table cleaned shard by
+    shard is :meth:`combine` over the shards' summaries.
+    """
+
+    counts: dict[MatchStatus, int] = field(default_factory=dict)
+    #: Rows with at least one repaired field.
+    repaired: int = 0
+    geocoder_requests: int = 0
+    geocoder_quota_exhausted: bool = False
+    degradations: list[dict] = field(default_factory=list)
+
+    @classmethod
+    def combine(cls, parts: list["CleaningSummary"]) -> "CleaningSummary":
+        """The summary of the parts' cleaning passes taken together."""
+        out = cls()
+        for part in parts:
+            for status, n in part.counts.items():
+                out.counts[status] = out.counts.get(status, 0) + n
+            out.repaired += part.repaired
+            out.geocoder_requests += part.geocoder_requests
+            out.geocoder_quota_exhausted |= part.geocoder_quota_exhausted
+            out.degradations += part.degradations
+        return out
+
+    @property
+    def n_checked(self) -> int:
+        """Audited rows (every status, skipped ones included)."""
+        return sum(self.counts.values())
+
+    @property
+    def output_degraded(self) -> bool:
+        """Whether a degradation changed the cleaned rows (a geocoder
+        shortfall), as opposed to a recovery such as a serial fallback.
+        A degraded result is not the fault-free one and is never cached."""
+        return any(d["kind"].startswith("geocoder_") for d in self.degradations)
+
+    def resolution_rate(self) -> float:
+        """Share of address-bearing rows resolved to a gazetteer street."""
+        attempted = self.n_checked - self.counts.get(MatchStatus.SKIPPED, 0)
+        if not attempted:
+            return 0.0
+        resolved = sum(
+            self.counts.get(status, 0)
+            for status in (MatchStatus.EXACT, MatchStatus.MATCHED, MatchStatus.GEOCODED)
+        )
+        return resolved / attempted
+
+
+@dataclass
 class CleaningReport:
     """The cleaned table plus the full audit trail.
 
@@ -104,33 +162,23 @@ class CleaningReport:
     #: Rows that skipped the geocoder because the circuit was open.
     rows_skipped_by_open_circuit: int = 0
 
-    @property
-    def output_degraded(self) -> bool:
-        """Whether a degradation changed the cleaned rows (a geocoder
-        shortfall), as opposed to a recovery such as a serial fallback.
-        A degraded result is not the fault-free one and is never cached."""
-        return any(d["kind"].startswith("geocoder_") for d in self.degradations)
+    def summary(self) -> CleaningSummary:
+        """The report's counts, without the cleaned table or the audits."""
+        return CleaningSummary(
+            counts=self.counts_by_status(),
+            repaired=sum(1 for a in self.audits if a.repaired_fields),
+            geocoder_requests=self.geocoder_requests,
+            geocoder_quota_exhausted=self.geocoder_quota_exhausted,
+            degradations=list(self.degradations),
+        )
 
     def counts_by_status(self) -> dict[MatchStatus, int]:
         """Number of audited rows per match status."""
-        out: dict[MatchStatus, int] = {}
-        for audit in self.audits:
-            out[audit.status] = out.get(audit.status, 0) + 1
-        return out
+        return dict(Counter(audit.status for audit in self.audits))
 
     def resolution_rate(self) -> float:
         """Share of address-bearing rows resolved to a gazetteer street."""
-        attempted = [
-            a for a in self.audits if a.status is not MatchStatus.SKIPPED
-        ]
-        if not attempted:
-            return 0.0
-        resolved = [
-            a
-            for a in attempted
-            if a.status in (MatchStatus.EXACT, MatchStatus.MATCHED, MatchStatus.GEOCODED)
-        ]
-        return len(resolved) / len(attempted)
+        return self.summary().resolution_rate()
 
 
 class AddressCleaner:

@@ -23,7 +23,7 @@ from ..dataset.schema import EpcSchema, epc_schema
 from ..dataset.table import Table
 from ..geo.regions import RegionHierarchy
 
-__all__ = ["AttributeQuality", "QualityProfile", "assess_quality"]
+__all__ = ["AttributeQuality", "QualityProfile", "assess_quality", "merge_quality"]
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,7 @@ def assess_quality(
         )
 
     if "certificate_id" in table:
-        counts = Counter(
-            v for v in table["certificate_id"] if v is not None
-        )
-        duplicated = [(cid, n) for cid, n in counts.items() if n > 1]
-        profile.duplicate_groups = sorted(duplicated, key=lambda kv: -kv[1])[:50]
-        profile.n_duplicate_certificates = sum(n - 1 for __, n in duplicated)
+        _count_duplicates(profile, table["certificate_id"])
 
     if "latitude" in table and "longitude" in table:
         lat = table["latitude"]
@@ -145,4 +140,42 @@ def assess_quality(
                 elif not region.contains(la, lo):
                     outside += 1
             profile.n_outside_region = outside
+    return profile
+
+
+def _count_duplicates(profile: QualityProfile, certificate_ids) -> None:
+    """Fill *profile*'s duplicate facts from the ids in row order."""
+    counts = Counter(v for v in certificate_ids if v is not None)
+    duplicated = [(cid, n) for cid, n in counts.items() if n > 1]
+    profile.duplicate_groups = sorted(duplicated, key=lambda kv: -kv[1])[:50]
+    profile.n_duplicate_certificates = sum(n - 1 for __, n in duplicated)
+
+
+def merge_quality(
+    parts: list[QualityProfile], certificate_ids: np.ndarray
+) -> QualityProfile:
+    """The profile of the concatenation of the tables *parts* profile.
+
+    Missing, implausible, unlocated and out-of-region counts add up over
+    the parts; duplicates do not (one id can repeat across two parts), so
+    they are recounted over *certificate_ids*, the parts' gathered
+    ``certificate_id`` column in original row order.  The result equals
+    :func:`assess_quality` over the concatenated table.
+    """
+    n_rows = sum(part.n_rows for part in parts)
+    profile = QualityProfile(
+        n_rows=n_rows,
+        n_unlocated=sum(part.n_unlocated for part in parts),
+        n_outside_region=sum(part.n_outside_region for part in parts),
+    )
+    for name, first in parts[0].attributes.items():
+        n_missing = sum(part.attributes[name].n_missing for part in parts)
+        profile.attributes[name] = AttributeQuality(
+            attribute=name,
+            kind=first.kind,
+            n_missing=n_missing,
+            missing_rate=n_missing / n_rows if n_rows else 0.0,
+            n_implausible=sum(part.attributes[name].n_implausible for part in parts),
+        )
+    _count_duplicates(profile, certificate_ids)
     return profile

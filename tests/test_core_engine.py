@@ -76,10 +76,10 @@ class TestPreprocess:
         )
 
     def test_cleaning_scoped_to_city(self, engine, collection):
-        report = engine._preprocessed.cleaning_report
+        cleaning = engine._preprocessed.cleaning
         n_city = sum(1 for c in collection.table["city"] if c == "Turin")
-        assert len(report.audits) == n_city
-        assert report.resolution_rate() > 0.95
+        assert cleaning.n_checked == n_city
+        assert cleaning.resolution_rate() > 0.95
 
     def test_out_of_city_rows_untouched(self, engine, collection):
         """Non-Turin geospatial fields must survive preprocessing unchanged."""

@@ -292,7 +292,7 @@ class TestEngineStageCache:
         assert second is first  # the memoized outcome object itself
         assert engine.cache.hits == 1
         cached_steps = engine.log.for_stage("preprocessing")
-        assert any(s.action == "stage_cache" for s in cached_steps)
+        assert any(s.action == "merge_cache" for s in cached_steps)
 
     def test_shared_cache_across_engines(self, small_collection):
         cache = StageCache()

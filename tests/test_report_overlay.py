@@ -47,7 +47,7 @@ class TestReport:
         analysis = engine._analyzed
         assert f"K = {analysis.clustering.chosen_k}" in report
         assert f"{analysis.table.n_rows} certificates analyzed" in report
-        assert f"{engine._preprocessed.cleaning_report.resolution_rate():.1%}" in report
+        assert f"{engine._preprocessed.cleaning.resolution_rate():.1%}" in report
 
     def test_every_cluster_described(self, engine):
         report = generate_report(engine)

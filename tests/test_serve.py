@@ -106,16 +106,9 @@ class TestGeoJsonPoints:
         located = np.isfinite(table["latitude"]) & np.isfinite(table["longitude"])
         assert len(collection["features"]) == int(located.sum())
 
-    def test_infinite_coordinates_are_unlocated(self, engine):
-        # one certificate at an infinite latitude and one at an infinite
-        # longitude: both are dropped like NaN ones, never emitted as
-        # `Infinity` (which no JSON parser has to accept)
-        table = engine._require_analyzed().table
-        lat, lon = table["latitude"].copy(), table["longitude"].copy()
-        located = np.flatnonzero(np.isfinite(lat) & np.isfinite(lon))
-        lat[located[0]], lon[located[1]] = np.inf, -np.inf
-        table = table.with_column(Column.numeric("latitude", lat))
-        table = table.with_column(Column.numeric("longitude", lon))
+    @staticmethod
+    def _respond(engine, table):
+        """``/geojson/points`` of a stand-in engine analyzed to *table*."""
         stand_in = SimpleNamespace(
             config=engine.config,
             _require_analyzed=lambda: SimpleNamespace(table=table),
@@ -126,12 +119,41 @@ class TestGeoJsonPoints:
                 "application/geo+json", lambda: render_points_geojson(stand_in)
             )},
         )
-        response = ArtifactServer(store).respond("GET", "/geojson/points")
+        return ArtifactServer(store).respond("GET", "/geojson/points")
+
+    def test_infinite_coordinates_are_unlocated(self, engine):
+        # one certificate at an infinite latitude and one at an infinite
+        # longitude: both are dropped like NaN ones, never emitted as
+        # `Infinity` (which no JSON parser has to accept)
+        table = engine._require_analyzed().table
+        lat, lon = table["latitude"].copy(), table["longitude"].copy()
+        located = np.flatnonzero(np.isfinite(lat) & np.isfinite(lon))
+        lat[located[0]], lon[located[1]] = np.inf, -np.inf
+        table = table.with_column(Column.numeric("latitude", lat))
+        table = table.with_column(Column.numeric("longitude", lon))
+        response = self._respond(engine, table)
         assert response.status == 200
         features = strict_json(response.body)["features"]
         assert len(features) == len(located) - 2
         for feature in features:
             assert all(np.isfinite(feature["geometry"]["coordinates"]))
+
+    def test_infinite_response_value_is_null(self, engine):
+        # a located certificate whose response is +inf keeps its point,
+        # with a JSON null property instead of `Infinity`
+        table = engine._require_analyzed().table
+        response_name = engine.config.response
+        located = np.flatnonzero(
+            np.isfinite(table["latitude"]) & np.isfinite(table["longitude"])
+        )
+        values = table[response_name].copy()
+        values[located[0]] = np.inf
+        table = table.with_column(Column.numeric(response_name, values))
+        response = self._respond(engine, table)
+        assert response.status == 200
+        features = strict_json(response.body)["features"]
+        assert len(features) == len(located)
+        assert features[0]["properties"][response_name] is None
 
 
 class TestErrorPages:

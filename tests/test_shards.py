@@ -4,9 +4,9 @@ The tier's one invariant — the property these tests pin down from every
 angle — is **bit-identity**: for *any* shard partitioning (1, 4 or 17
 parts, by-district, by-zip; generated per shard or sliced from a resident
 table), the sharded run's merged output satisfies ``Table.__eq__``
-against the monolithic serial pipeline over the same rows, including
-under injected worker crashes and spill-write faults (a shard retry must
-never duplicate or drop a row).
+against the one-shard plan (``Indice.preprocess``, serial) over the same
+rows, including under injected worker crashes and spill-write faults (a
+shard retry must never duplicate or drop a row).
 """
 
 import dataclasses
@@ -27,12 +27,17 @@ from repro.dataset.synthetic import (
     merge_epc_collections,
     plan_generation_shards,
 )
+from repro.core import engine as engine_module
+from repro.core.report import generate_report
+from repro.dataset.table import Column
 from repro.faults import FaultInjector, FaultPlan, ResiliencePolicy
 from repro.perf import parallel as parallel_module
 from repro.perf import shards as shards_module
 from repro.perf.cache import StageCache
 from repro.perf.shards import ShardPlan, ShardRunner
 from repro.perf.spill import SpillError, SpillFile, write_spill
+from repro.preprocessing.address_cleaner import AddressCleaner
+from repro.preprocessing.quality import assess_quality
 
 N = 1600
 SEED = 17
@@ -62,7 +67,7 @@ def collection():
 
 @pytest.fixture(scope="module")
 def monolithic(collection):
-    """The monolithic serial pipeline over the shared dirty collection."""
+    """The one-shard plan, serial, over the shared dirty collection."""
     engine = Indice(collection, _config())
     preprocessing = engine.preprocess()
     analytics = engine.analyze()
@@ -298,9 +303,10 @@ class TestMergeSpillReads:
     def test_merge_opens_each_spill_once_per_column_pass(
         self, collection, monolithic, tmp_path, monkeypatch
     ):
-        """The merge opens each spill once for the univariate columns,
-        once for the kept rows' features and once for the merged table —
-        not once per (column, shard) pair."""
+        """The merge opens each spill once for the analysis columns and
+        once for the merged table — not once per (column, shard) pair;
+        the outlier pass slices the kept rows' features from the analysis
+        columns it already holds."""
         opens = []
         original = SpillFile.open.__func__
 
@@ -313,7 +319,132 @@ class TestMergeSpillReads:
         config = _config(spill_dir=str(tmp_path / "spills"))
         outcome = Indice(plan.collection, config).run_sharded(plan)
         assert outcome.preprocessing.table == monolithic[0].table
-        assert 0 < len(opens) <= 3 * len(plan.shards)
+        assert len(opens) == 2 * len(plan.shards)
+
+
+# ---------------------------------------------------------------------------
+# the merged outcome reports what the one-shard plan reports
+# ---------------------------------------------------------------------------
+
+
+def _assessed(plan, config):
+    """``assess_quality`` over the plan's whole input, as the engine asks."""
+    return assess_quality(
+        plan.merged_input_table(),
+        schema=plan.collection.schema,
+        hierarchy=plan.collection.hierarchy,
+        attributes=list(config.features)
+        + [config.response, "certificate_id", "latitude", "longitude"],
+    )
+
+
+def _cleaning_section(report):
+    return report.split("## Data cleaning")[1].split("## Feature check")[0]
+
+
+class TestMergedReport:
+    @pytest.mark.parametrize("source", ["by-district", 4, "generator"])
+    def test_merged_quality_equals_the_whole_inputs(
+        self, collection, source, tmp_path
+    ):
+        plan = (
+            _generator_plan() if source == "generator"
+            else ShardPlan.from_collection(collection, source)
+        )
+        config = _config(spill_dir=str(tmp_path / "spills"))
+        outcome = Indice(plan.collection, config).run_sharded(plan)
+        quality = outcome.preprocessing.quality
+        assert quality == _assessed(plan, config)
+        assert quality.n_rows == plan.n_rows
+
+    def test_duplicate_straddling_two_shards_is_counted(
+        self, collection, tmp_path
+    ):
+        table = collection.table
+        ids = table.column("certificate_id")
+        values = ids.values.copy()
+        values[table.n_rows - 1] = values[0]  # row 0 is in part 0, the last in part 1
+        duplicated = dataclasses.replace(
+            collection,
+            table=table.with_column(
+                Column(ids.name, ids.kind, values)
+            ).select(table.column_names),
+        )
+        plan = ShardPlan.from_collection(duplicated, 2)
+        first, last = plan.shards
+        assert 0 in first.original_rows()
+        assert table.n_rows - 1 in last.original_rows()
+        config = _config(spill_dir=str(tmp_path / "spills"))
+        outcome = Indice(plan.collection, config).run_sharded(plan)
+        expected = _assessed(plan, config)
+        assert expected.n_duplicate_certificates == 1
+        assert outcome.preprocessing.quality == expected
+
+    def test_report_cleaning_section_matches_the_one_shard_plan(
+        self, collection, tmp_path
+    ):
+        engine = Indice(collection, _config())
+        engine.preprocess()
+        engine.analyze()
+        plan = ShardPlan.from_collection(collection, "by-district")
+        sharded = Indice(plan.collection, _config(spill_dir=str(tmp_path)))
+        outcome = sharded.run_sharded(plan)
+        section = _cleaning_section(generate_report(sharded))
+        assert section == _cleaning_section(generate_report(engine))
+        n_city = int(np.sum(collection.table["city"] == engine.config.city))
+        assert f"- {n_city} addresses checked" in section
+        assert outcome.preprocessing.cleaning == engine._preprocessed.cleaning
+
+
+# ---------------------------------------------------------------------------
+# the one-shard plan keeps its rows in memory
+# ---------------------------------------------------------------------------
+
+
+class TestOneShardPlan:
+    def test_uncached_preprocess_neither_spills_nor_fingerprints(
+        self, collection, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def forbidden(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return record
+
+        monkeypatch.setattr(shards_module, "write_spill", forbidden("write_spill"))
+        for module in (shards_module, engine_module):
+            monkeypatch.setattr(
+                module, "fingerprint_table", forbidden("fingerprint_table")
+            )
+        spill_dir = tmp_path / "spills"
+        engine = Indice(collection, _config(spill_dir=str(spill_dir)))
+        outcome = engine.preprocess()
+        assert calls == []
+        assert not spill_dir.exists()
+        assert outcome.n_rows_in == collection.table.n_rows
+        assert not any(step.stage == "sharding" for step in engine.log.steps)
+
+    def test_warm_preprocess_on_a_shared_cache_cleans_nothing(
+        self, collection, monkeypatch
+    ):
+        cleaned = []
+        clean_table = AddressCleaner.clean_table
+
+        def counting(self, table):
+            cleaned.append(table.n_rows)
+            return clean_table(self, table)
+
+        monkeypatch.setattr(AddressCleaner, "clean_table", counting)
+        cache = StageCache()
+        a = Indice(collection, _config(stage_cache=True), cache=cache)
+        b = Indice(collection, _config(stage_cache=True), cache=cache)
+        outcome = a.preprocess()
+        assert len(cleaned) == 1
+        assert b.preprocess() is outcome
+        assert len(cleaned) == 1
+        assert (cache.shard_hits, cache.shard_misses) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +538,7 @@ class TestShardedDeadline:
         rerun = Indice(collection, cfg, cache=cache)
         rerun.preprocess()
         assert not any(
-            step.action == "stage_cache" and step.detail.get("hit")
+            step.action == "merge_cache" and step.detail.get("hit")
             for step in rerun.log.steps if step.stage == "preprocessing"
         )
         rerun_sharded = Indice(plan.collection, cfg, cache=cache)
