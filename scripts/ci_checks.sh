@@ -48,7 +48,16 @@ timeout 180 python -m pytest tests/test_serve.py -q
 # by-district run must beat the wall-clock budget, and a warm re-run
 # after invalidating one shard must reuse every other shard (the full
 # 1M experiment stays in `pytest -m bench`, see benchmarks/)
-timeout 300 python scripts/sharded_smoke.py --certificates 100000
+# It runs under its own TMPDIR, which must be empty afterwards: the
+# smoke's spill directory and any runner-made one go with their runs.
+smoke_tmp="$(mktemp -d)"
+TMPDIR="$smoke_tmp" timeout 300 python scripts/sharded_smoke.py --certificates 100000
+leftover="$(find "$smoke_tmp" -mindepth 1 -maxdepth 1 \( -name 'repro-ci-shards-*' -o -name 'repro-shards-*' \))"
+if [ -n "$leftover" ]; then
+    echo "sharded smoke left spill directories behind: $leftover" >&2
+    exit 1
+fi
+rm -rf "$smoke_tmp"
 
 # the end-to-end benchmark's own suite, a smoke run of every workload,
 # and the two pipeline workloads at the golden seed and sizes: a perf

@@ -34,7 +34,13 @@ def main() -> int:
         "by-district",
         noise=NoiseConfig(seed=args.seed + 1),
     )
-    spill_dir = tempfile.mkdtemp(prefix="repro-ci-shards-")
+    # the spills (about 79 MB at 100k certificates) go with the run
+    with tempfile.TemporaryDirectory(prefix="repro-ci-shards-") as spill_dir:
+        return _smoke(args, plan, spill_dir)
+
+
+def _smoke(args: argparse.Namespace, plan: ShardPlan, spill_dir: str) -> int:
+    """Cold run, one spill corrupted, warm run; 1 on any failed check."""
     cache = StageCache()
     config = IndiceConfig(
         geocoder_quota=10**9, stage_cache=True, spill_dir=spill_dir

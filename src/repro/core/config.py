@@ -145,12 +145,12 @@ class IndiceConfig:
         help="persist stage-cache entries under DIR (reused across runs)",
     )
     #: Directory for the per-shard columnar spill files (``None`` = a
-    #: temporary directory per run).
+    #: temporary directory, removed when the run has merged its shards).
     spill_dir: str | None = knob(
         None, stages=(), flag="--spill-dir", metavar="DIR",
         help="keep the per-shard columnar spill files under DIR (with "
              "--cache-dir this makes warm runs skip unchanged shards; "
-             "default: a temporary directory per run)",
+             "default: a temporary directory removed after the merge)",
     )
 
     # -- resilience (how failures are absorbed; never changes a successful

@@ -500,10 +500,13 @@ class Indice:
             chosen_k=clustering.chosen_k,
             sse=round(clustering.result.sse, 2),
         )
-        cluster_values = np.array(
-            [str(c) if c >= 0 else None for c in clustering.result.labels],
-            dtype=object,
+        # one label string per cluster, shared by its rows; an unassigned
+        # row (label -1) indexes the trailing None
+        labels = clustering.result.labels
+        lookup = np.array(
+            [*map(str, range(int(labels.max(initial=-1)) + 1)), None], dtype=object
         )
+        cluster_values = lookup[np.where(labels >= 0, labels, -1)]
         with_clusters = table.with_column(
             Column("cluster", ColumnKind.CATEGORICAL, cluster_values)
         )

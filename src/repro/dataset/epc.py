@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import EpcSchema, epc_schema
-from .table import ColumnKind, Table
+from .schema import AttributeSpec, EpcSchema, epc_schema
+from .table import Column, ColumnKind, Table
 
-__all__ = ["EpcRecord", "records", "ValidationIssue", "validate_table"]
+__all__ = [
+    "EpcRecord", "records", "ValidationIssue", "implausible_mask", "validate_table",
+]
 
 
 class EpcRecord:
@@ -180,18 +182,42 @@ class ValidationReport:
         return {issue.row for issue in self.issues}
 
 
+def implausible_mask(column: Column, spec: AttributeSpec) -> np.ndarray:
+    """Boolean mask of the cells of *column* breaking *spec*'s rule.
+
+    Numeric cells must fall inside ``[lo, hi]``; categorical ones inside
+    the closed vocabulary (when the spec has one).  Missing cells never
+    count: missingness is the outlier/cleaning tier's concern.
+    """
+    values = column.values
+    if column.kind is ColumnKind.NUMERIC:
+        bad = np.zeros(len(values), dtype=bool)
+        with np.errstate(invalid="ignore"):
+            if spec.lo is not None:
+                bad |= values < spec.lo
+            if spec.hi is not None:
+                bad |= values > spec.hi
+        return bad
+    if not spec.categories:
+        return np.zeros(len(values), dtype=bool)
+    allowed = set(spec.categories)
+    return np.fromiter(
+        (v is not None and v not in allowed for v in values),
+        dtype=bool, count=len(values),
+    )
+
+
 def validate_table(
     table: Table,
     schema: EpcSchema | None = None,
     attributes: list[str] | None = None,
     max_issues: int = 10_000,
 ) -> ValidationReport:
-    """Check *table* against the EPC schema's plausibility rules.
+    """Check *table* against the EPC schema's plausibility rules
+    (:func:`implausible_mask`), one :class:`ValidationIssue` per bad cell.
 
-    Numeric attributes must fall inside their ``[lo, hi]`` range;
-    categorical ones inside their closed vocabulary.  Missing values are
-    always acceptable (missingness is the outlier/cleaning tier's
-    concern, not validation's).  Collection stops after *max_issues*.
+    Collection stops after *max_issues*; count violations with
+    :func:`implausible_mask` when the total matters.
     """
     schema = schema or epc_schema()
     names = attributes if attributes is not None else [
@@ -201,30 +227,17 @@ def validate_table(
     for name in names:
         spec = schema.spec(name)
         column = table.column(name)
-        if column.kind is ColumnKind.NUMERIC:
-            values = column.values
-            bad = np.zeros(len(values), dtype=bool)
-            with np.errstate(invalid="ignore"):
-                if spec.lo is not None:
-                    bad |= values < spec.lo
-                if spec.hi is not None:
-                    bad |= values > spec.hi
-            for row in np.flatnonzero(bad):
-                report.issues.append(
-                    ValidationIssue(
-                        int(row), name, float(values[row]),
-                        f"outside plausible range [{spec.lo}, {spec.hi}]",
-                    )
-                )
-                if len(report.issues) >= max_issues:
-                    return report
-        elif spec.categories:
-            allowed = set(spec.categories)
-            for row, value in enumerate(column.values):
-                if value is not None and value not in allowed:
-                    report.issues.append(
-                        ValidationIssue(row, name, value, "not in the closed vocabulary")
-                    )
-                    if len(report.issues) >= max_issues:
-                        return report
+        numeric = column.kind is ColumnKind.NUMERIC
+        reason = (
+            f"outside plausible range [{spec.lo}, {spec.hi}]"
+            if numeric
+            else "not in the closed vocabulary"
+        )
+        for row in np.flatnonzero(implausible_mask(column, spec)):
+            value = column.values[row]
+            report.issues.append(
+                ValidationIssue(int(row), name, float(value) if numeric else value, reason)
+            )
+            if len(report.issues) >= max_issues:
+                return report
     return report

@@ -233,9 +233,10 @@ def apply_noise(
         numeric_arrays[name] = values
 
     dirty = table
-    dirty = dirty.with_column(Column("address", ColumnKind.TEXT, address))
-    dirty = dirty.with_column(Column("house_number", ColumnKind.TEXT, house_number))
-    dirty = dirty.with_column(Column("zip_code", ColumnKind.CATEGORICAL, zip_code))
+    # through the constructors, so equal corrupted cells share one string
+    dirty = dirty.with_column(Column.text("address", address))
+    dirty = dirty.with_column(Column.text("house_number", house_number))
+    dirty = dirty.with_column(Column.categorical("zip_code", zip_code))
     dirty = dirty.with_column(Column("latitude", ColumnKind.NUMERIC, lat))
     dirty = dirty.with_column(Column("longitude", ColumnKind.NUMERIC, lon))
     for name, values in numeric_arrays.items():

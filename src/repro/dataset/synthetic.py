@@ -280,6 +280,22 @@ def _quality_from_u(u_values: np.ndarray, good: float, poor: float) -> list[str]
     ]
 
 
+def _choose(
+    rng: np.random.Generator,
+    options: tuple[str, ...],
+    n: int,
+    p: tuple[float, ...] | None = None,
+) -> np.ndarray:
+    """*n* draws from *options* as an ``object`` array of the options
+    themselves.
+
+    Consumes the same RNG stream as ``rng.choice(options, size=n, p=p)``
+    and yields equal values, but every cell references one of the
+    ``len(options)`` strings instead of a fresh ``np.str_`` per row.
+    """
+    return np.asarray(options, dtype=object)[rng.choice(len(options), size=n, p=p)]
+
+
 def _pick_buildings(
     rng: np.random.Generator,
     street_map: StreetMap,
@@ -534,8 +550,8 @@ def _generate_certificates(
     net_floor_area = heated_surface * rng.uniform(0.82, 0.95, n)
 
     # ---- categorical attributes -------------------------------------------
-    def choice(options: tuple[str, ...], p: tuple[float, ...] | None = None) -> list[str]:
-        return list(rng.choice(options, size=n, p=p))
+    def choice(options: tuple[str, ...], p: tuple[float, ...] | None = None) -> np.ndarray:
+        return _choose(rng, options, n, p)
 
     building_type = list(
         np.where(

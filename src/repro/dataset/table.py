@@ -44,12 +44,31 @@ class ColumnKind(enum.Enum):
 MISSING = None
 
 
+def _shared_strings(values: Iterable[Any]) -> np.ndarray:
+    """An ``object`` array of ``str(v)`` per value (``None`` stays ``None``)
+    holding **one** ``str`` object per distinct value.
+
+    A 5-value categorical column of 8000 rows then holds 5 strings and
+    8000 references to them, not 8000 strings.  The memo is local to the
+    call: nothing outlives the column, and a cell's identity carries no
+    meaning beyond its value.
+    """
+    shared = {}.setdefault  # first occurrence of each value is kept
+    return np.asarray(
+        [None if v is None else shared(s := str(v), s) for v in values],
+        dtype=object,
+    )
+
+
 class Column:
     """A single named, typed column.
 
     Numeric columns are stored as ``float64`` arrays where ``NaN`` marks a
     missing value.  Categorical and text columns are stored as ``object``
-    arrays of ``str`` where ``None`` marks a missing value.
+    arrays of ``str`` where ``None`` marks a missing value; the
+    :meth:`categorical` / :meth:`text` constructors store each distinct
+    value once and share it between its cells.  Cells are immutable, so
+    sharing is invisible: compare cells by value, never by identity.
     """
 
     __slots__ = ("name", "kind", "values")
@@ -71,19 +90,19 @@ class Column:
 
     @classmethod
     def categorical(cls, name: str, values: Iterable[Any]) -> "Column":
-        """Build a categorical column of strings; ``None`` stays missing."""
-        arr = np.asarray(
-            [None if v is None else str(v) for v in values], dtype=object
-        )
-        return cls(name, ColumnKind.CATEGORICAL, arr)
+        """Build a categorical column of strings; ``None`` stays missing.
+
+        Equal cells share one ``str`` object (see :func:`_shared_strings`).
+        """
+        return cls(name, ColumnKind.CATEGORICAL, _shared_strings(values))
 
     @classmethod
     def text(cls, name: str, values: Iterable[Any]) -> "Column":
-        """Build a free-text column of strings; ``None`` stays missing."""
-        arr = np.asarray(
-            [None if v is None else str(v) for v in values], dtype=object
-        )
-        return cls(name, ColumnKind.TEXT, arr)
+        """Build a free-text column of strings; ``None`` stays missing.
+
+        Equal cells share one ``str`` object (see :func:`_shared_strings`).
+        """
+        return cls(name, ColumnKind.TEXT, _shared_strings(values))
 
     @classmethod
     def from_kind(cls, name: str, kind: ColumnKind, values: Iterable[Any]) -> "Column":

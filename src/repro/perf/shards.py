@@ -135,7 +135,9 @@ class ShardedOutcome:
     preprocessing: PreprocessingOutcome
     analytics: AnalyticsOutcome
     shard_stats: list[ShardStat] = field(default_factory=list)
-    #: Where the spills live ("" for the one-shard plan, which has none).
+    #: Where the spills live: the configured ``spill_dir`` of a plan of
+    #: more than one shard, else "" (the one-shard plan spills nothing,
+    #: and a run's temporary spill directory is gone when it returns).
     spill_dir: str = ""
 
 
@@ -462,7 +464,9 @@ class ShardRunner:
             )
         self.engine = engine
         self.plan = plan
-        #: where the spills live; None for the one-shard plan
+        #: where the spills live while :meth:`preprocess` runs; None for
+        #: the one-shard plan, and after a run that spilled into a
+        #: temporary directory
         self.spill_dir: Path | None = None
         #: the last run's per-shard transform costs, in shard order
         self.stats: list[ShardStat] = []
@@ -639,7 +643,30 @@ class ShardRunner:
     # -- the driver --------------------------------------------------------
 
     def preprocess(self) -> PreprocessingOutcome:
-        """extract → per-shard transform → merge: the engine's tier 1."""
+        """extract → per-shard transform → merge: the engine's tier 1.
+
+        A plan of more than one shard spills into the configured
+        ``spill_dir``, which stays for warm runs; without one, into a
+        temporary directory that is removed once the merge has gathered
+        its rows (the outcome then reports no ``spill_dir``).
+        """
+        self.spill_dir = None
+        if len(self.plan.shards) == 1:
+            return self._preprocess()
+        configured = self.engine.config.spill_dir
+        if configured:
+            self.spill_dir = Path(configured)
+            self.spill_dir.mkdir(parents=True, exist_ok=True)
+            return self._preprocess()
+        with tempfile.TemporaryDirectory(prefix="repro-shards-") as scratch:
+            self.spill_dir = Path(scratch)
+            try:
+                return self._preprocess()
+            finally:
+                self.spill_dir = None
+
+    def _preprocess(self) -> PreprocessingOutcome:
+        """:meth:`preprocess` with :attr:`spill_dir` resolved."""
         engine = self.engine
         cfg = engine.config
         log = engine.log
@@ -648,17 +675,12 @@ class ShardRunner:
         started = time.perf_counter()
         deadline = engine._stage_deadline()
         config_fp = engine._config_fingerprint(PREPROCESS_FIELDS)
-        spilled = len(plan.shards) > 1
+        spilled = self.spill_dir is not None
         content_fps = None
         if spilled or engine.cache is not None:
             content_fps = [plan.shard_fingerprint(spec) for spec in plan.shards]
 
         if spilled:
-            if cfg.spill_dir:
-                self.spill_dir = Path(cfg.spill_dir)
-                self.spill_dir.mkdir(parents=True, exist_ok=True)
-            else:
-                self.spill_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
             log.record(
                 "sharding", "plan",
                 scheme=plan.scheme, shards=len(plan.shards), rows=total,

@@ -172,16 +172,16 @@ def _decode_column(
     validity = part(_VALIDITY, np.uint8)
     blob_lo, blob_len = spec.window(_BLOB)
     blob = bytes(buf[blob_lo : blob_lo + blob_len])
-    values = np.array(
-        [
+    # through the constructor, so equal cells decode to one shared string
+    return Column.text(
+        spec.name,
+        (
             blob[offsets[i] : offsets[i + 1]].decode("utf-8", "surrogatepass")
             if validity[i]
             else None
             for i in range(lo, hi)
-        ],
-        dtype=object,
+        ),
     )
-    return Column(spec.name, spec.kind, values)
 
 
 def encode_table(

@@ -456,9 +456,9 @@ class AddressCleaner:
             )
 
         cleaned = (
-            table.with_column(Column("address", ColumnKind.TEXT, address))
-            .with_column(Column("house_number", ColumnKind.TEXT, house_number))
-            .with_column(Column("zip_code", ColumnKind.CATEGORICAL, zip_code))
+            table.with_column(Column.text("address", address))
+            .with_column(Column.text("house_number", house_number))
+            .with_column(Column.categorical("zip_code", zip_code))
             .with_column(Column("latitude", ColumnKind.NUMERIC, lat))
             .with_column(Column("longitude", ColumnKind.NUMERIC, lon))
             .select(table.column_names)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset.epc import validate_table
+from ..dataset.epc import implausible_mask
 from ..dataset.schema import EpcSchema, epc_schema
 from ..dataset.table import Table
 from ..geo.regions import RegionHierarchy
@@ -106,9 +106,6 @@ def assess_quality(
     names = attributes if attributes is not None else [
         n for n in table.column_names if n in schema
     ]
-    validation = validate_table(table, schema, attributes=names)
-    implausible = validation.by_attribute()
-
     profile = QualityProfile(n_rows=table.n_rows)
     for name in names:
         column = table.column(name)
@@ -118,7 +115,7 @@ def assess_quality(
             kind=column.kind.value,
             n_missing=n_missing,
             missing_rate=n_missing / table.n_rows if table.n_rows else 0.0,
-            n_implausible=implausible.get(name, 0),
+            n_implausible=int(implausible_mask(column, schema.spec(name)).sum()),
         )
 
     if "certificate_id" in table:

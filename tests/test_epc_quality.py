@@ -153,6 +153,20 @@ class TestQualityProfile:
         total_implausible = sum(a.n_implausible for a in profile.attributes.values())
         assert total_implausible > 0
 
+    def test_implausible_counts_are_exact_past_the_issue_cap(self):
+        """More bad cells than ``validate_table`` collects issues for: the
+        attribute profiled first and the one profiled after it are both
+        counted exactly."""
+        n = 12_000
+        table = Table([
+            Column.numeric("eta_h", [99.0] * n),
+            Column.categorical("energy_class", ["Z9", "A4"] * (n // 2)),
+        ])
+        assert len(validate_table(table).issues) == 10_000  # the cap binds
+        profile = assess_quality(table)
+        assert profile.attributes["eta_h"].n_implausible == n
+        assert profile.attributes["energy_class"].n_implausible == n // 2
+
     def test_empty_table(self):
         profile = assess_quality(Table([Column.numeric("eph", [])]))
         assert profile.n_rows == 0

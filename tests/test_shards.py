@@ -10,6 +10,8 @@ shard retry must never duplicate or drop a row).
 """
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,6 +447,35 @@ class TestOneShardPlan:
         assert b.preprocess() is outcome
         assert len(cleaned) == 1
         assert (cache.shard_hits, cache.shard_misses) == (0, 0)
+
+
+class TestSpillDirectoryLifetime:
+    """A run without ``spill_dir`` spills into a temporary directory that
+    is gone when the run returns; a configured ``spill_dir`` stays."""
+
+    def test_runner_made_directory_is_removed(
+        self, collection, monolithic, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        plan = ShardPlan.from_collection(collection, 2)
+        engine = Indice(plan.collection, _config())
+        outcome = engine.run_sharded(plan)
+        (planned,) = [
+            step.detail["spill_dir"] for step in engine.log.steps
+            if (step.stage, step.action) == ("sharding", "plan")
+        ]
+        assert Path(planned).parent == tmp_path  # it did spill there
+        assert list(tmp_path.glob("repro-shards-*")) == []
+        assert outcome.spill_dir == ""
+        assert outcome.preprocessing.table == monolithic[0].table
+
+    def test_configured_directory_keeps_its_spills(self, collection, tmp_path):
+        spill_dir = tmp_path / "spills"
+        plan = ShardPlan.from_collection(collection, 2)
+        engine = Indice(plan.collection, _config(spill_dir=str(spill_dir)))
+        outcome = engine.run_sharded(plan)
+        assert outcome.spill_dir == str(spill_dir)
+        assert len(list(spill_dir.glob("*.spill"))) == 2
 
 
 # ---------------------------------------------------------------------------
