@@ -82,9 +82,9 @@ def test_a9_parallel_and_cache(benchmark):
     cache_warm = time.perf_counter() - start
     assert cached_engine.cache.hits >= 2
     speedup = cache_cold / max(cache_warm, 1e-9)
-    # the columnar shm tier roughly halved the cold run, so the warm
-    # ratio's denominator stayed put while its numerator shrank; 5x still
-    # proves the cache turns stages into hash lookups
+    # later work roughly halved the cold run, so the warm ratio's
+    # denominator stayed put while its numerator shrank; 5x still proves
+    # the cache turns stages into hash lookups
     assert speedup >= 5.0, f"warm cache only {speedup:.1f}x faster"
 
     benchmark.pedantic(

@@ -27,13 +27,13 @@ python -m pytest --doctest-modules src/repro/text src/repro/geo/distance.py \
     src/repro/dashboard/svg.py src/repro/dashboard/colors.py -q
 
 # the chaos sweep over the 8000-certificate pipeline (deselected from the
-# default run): the only suite that drives every pool — row chunks, shm
-# slices and coarse tasks — under injected worker crashes and stragglers
+# default run): the only suite that drives every pool — row chunks and
+# coarse tasks — under injected worker crashes and stragglers
 timeout 300 python -m pytest -m chaos tests/test_chaos_pipeline.py -q
 
-# the shared-memory tier's own suite: codec round trip, segment
-# lifecycle (no leaks under crashes/faults), map_table semantics
-python -m pytest tests/test_shm.py -q
+# the spill codec's round-trip oracle: seeded cases and a hypothesis
+# property over NaN, signed zero, None vs "", surrogates and empty tables
+python -m pytest tests/test_spill_codec.py -q
 
 # the serving tier's concurrency harness (coalescing, 304s, shedding,
 # graceful reload) and its routing/path-policy suite (HEAD and abrupt

@@ -11,8 +11,8 @@ and the module graph stays acyclic.  (That stage-cache fingerprints
 cover exactly the config fields that affect outcomes, and that the CLI
 flags match the config, is structural: each ``IndiceConfig`` field
 declares its stages and flag once, see :mod:`repro.core.config`.  So
-is the release of shared memory and spill maps: they release only
-through ``with``, see :mod:`repro.perf.shm` and :mod:`repro.perf.spill`.)
+is the release of spill maps: they release only through ``with``, see
+:mod:`repro.perf.spill`.)
 This package walks the project's own AST (with a content-hash
 incremental cache, see :mod:`.cache`) and fails the build when any of
 them drifts:

@@ -24,25 +24,21 @@ Design points:
 * **determinism** — the parallel path computes the same function on the
   same items; only scheduling changes, never results.  The serial
   fallback therefore returns bit-identical output;
-* **columnar dispatch** — :meth:`ParallelMap.map_table` ships a whole
-  :class:`~repro.dataset.table.Table` through one shared-memory block
-  (see :mod:`repro.perf.shm`) and sends workers only ``(shm_name,
-  col_specs, row_range)`` descriptors, so the per-chunk IPC payload is a
-  few hundred bytes regardless of row count — the fix for the pickle
-  serialization tax that capped ``map`` at 2 useful workers.  Address
-  resolution is its one caller: work that takes milliseconds serially
-  (the feature matrix, group means) stays inline, because a pool
-  round-trip costs tens of milliseconds;
+* **one row dispatch** — address resolution is the one caller of
+  :meth:`ParallelMap.map`: its distinct addresses are pickled per chunk,
+  which costs well under a millisecond at thousands of strings, while
+  pool start-up and the per-worker gazetteer index dominate.  Work that
+  takes milliseconds serially (the feature matrix, group means) stays
+  inline, because a pool round-trip costs tens of milliseconds;
 * **coarse tasks** — :meth:`ParallelMap.map_tasks` runs a handful of
   expensive independent units (a shard transform, one K of the elbow
-  sweep) one per chunk, through the same pool routine, so all three maps
+  sweep) one per chunk, through the same pool routine, so both maps
   share one fallback, one fault site and one fork-safety check.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -53,7 +49,6 @@ import numpy as np
 
 from ..dataset.table import Table
 from ..faults.plan import PARALLEL_WORKER, FaultInjector, FaultKind, WorkerCrashError
-from .shm import SharedTable, TableSlice, attach_slice
 
 __all__ = ["ParallelMap", "feature_matrix"]
 
@@ -87,28 +82,11 @@ def feature_matrix(table: Table, names: Sequence[str]) -> np.ndarray:
     """``table.to_matrix(names)``: the feature matrix DBSCAN and K-means read.
 
     Serial on purpose.  Copying a few float columns takes well under a
-    millisecond at 8k rows, while a pool round-trip (shared-memory encode,
-    worker start, result pickling) costs tens of milliseconds for the
-    same bit-identical matrix.
+    millisecond at 8k rows, while a pool round-trip (worker start, row
+    and result pickling) costs tens of milliseconds for the same
+    bit-identical matrix.
     """
     return table.to_matrix(list(names))
-
-
-def _run_table_chunk(
-    payload: tuple[Callable[[Any], Iterable[Any]], TableSlice, str | None]
-) -> list:
-    """Decode one shared-memory slice and apply ``chunk_func`` to it.
-
-    Injected crashes fire *before* the worker attaches, so a crashed
-    worker never holds a mapping — segment cleanup stays entirely with
-    the creating parent.
-    """
-    chunk_func, table_slice, fault = payload
-    if fault == "crash":
-        raise WorkerCrashError("injected worker crash")
-    if fault == "delay":
-        time.sleep(_INJECTED_STRAGGLER_S)
-    return list(chunk_func(attach_slice(table_slice)))
 
 
 @dataclass
@@ -120,9 +98,6 @@ class ParallelMap:
     n_jobs:
         Worker processes.  ``1`` (the default) runs serially; ``0`` or a
         negative value resolves to ``os.cpu_count()``.
-    chunk_size:
-        Items per shard; ``None`` sizes chunks so each worker receives
-        about ``_CHUNKS_PER_JOB`` of them.
     min_parallel_items:
         Inputs smaller than this run serially even when ``n_jobs > 1``.
     injector:
@@ -131,21 +106,17 @@ class ParallelMap:
     """
 
     n_jobs: int = 1
-    chunk_size: int | None = None
     min_parallel_items: int = DEFAULT_MIN_PARALLEL_ITEMS
     injector: FaultInjector | None = None
+
+    #: Always 0: no shared memory is used; read by benchmarks/e2e/child.py.
+    shm_bytes = 0
 
     def __post_init__(self):
         #: Times the parallel path crashed and was recomputed serially.
         self.fallbacks = 0
         #: Human-readable reason of the most recent fallback (or None).
         self.last_fallback_reason: str | None = None
-        #: Seconds spent encoding tables into shared memory (map_table).
-        self.encode_seconds = 0.0
-        #: Bytes placed in shared-memory blocks (map_table).
-        self.shm_bytes = 0
-        #: Pickled bytes actually shipped to workers as descriptors.
-        self.descriptor_bytes = 0
 
     def resolve_jobs(self) -> int:
         """The effective worker count (``0``/negative -> all cores)."""
@@ -162,31 +133,13 @@ class ParallelMap:
         return self.resolve_jobs() > 1 and n_tasks >= 2
 
     def shard(self, items: Sequence[Any]) -> list[list[Any]]:
-        """Split *items* into contiguous, order-preserving chunks."""
+        """Split *items* into contiguous, order-preserving chunks of
+        ``ceil(n / (jobs * _CHUNKS_PER_JOB))`` items each."""
         n = len(items)
         if n == 0:
             return []
-        jobs = self.resolve_jobs()
-        size = self.chunk_size or max(1, -(-n // (jobs * _CHUNKS_PER_JOB)))
+        size = -(-n // (self.resolve_jobs() * _CHUNKS_PER_JOB))
         return [list(items[i : i + size]) for i in range(0, n, size)]
-
-    def shard_ranges(self, n_rows: int) -> list[tuple[int, int]]:
-        """Contiguous ``[lo, hi)`` row ranges, mirroring :meth:`shard`.
-
-        Uses the exact same chunk-size arithmetic so a table map dispatches
-        the same number of chunks as an item map over the same rows — which
-        keeps ``parallel.worker`` fault arrival counts identical across the
-        two code paths.
-        """
-        if n_rows == 0:
-            return []
-        jobs = self.resolve_jobs()
-        size = self.chunk_size or max(
-            1, -(-n_rows // (jobs * _CHUNKS_PER_JOB))
-        )
-        return [
-            (lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)
-        ]
 
     def _chunk_fault(self) -> str | None:
         """The injected behaviour of the next dispatched chunk, if any."""
@@ -290,61 +243,3 @@ class ParallelMap:
         if results is None:
             return self._serial(func, tasks, initializer, initargs)
         return [result for (result,) in results]
-
-    def _serial_table(self, chunk_func, table, initializer, initargs) -> list:
-        """The inline path: one call over the whole table."""
-        return self._serial(chunk_func, [table], initializer, initargs)[0]
-
-    def map_table(
-        self,
-        chunk_func: Callable[[Any], Iterable[Any]],
-        table,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> list:
-        """Fan *table* rows out through shared memory, one slice per chunk.
-
-        *chunk_func* receives a :class:`~repro.dataset.table.Table` holding
-        a contiguous row slice and must return one result per row, in row
-        order; ``map_table`` returns the concatenation across slices — for
-        a row-wise *chunk_func* this is exactly ``list(chunk_func(table))``.
-
-        Callers ship only the columns *chunk_func* reads: every column of
-        *table* is encoded into shared memory, so pass a ``select`` of the
-        read columns, not a full-width collection table.
-
-        Unlike :meth:`map`, the rows are never pickled: the whole table is
-        encoded once into a shared-memory block and workers receive only
-        slice descriptors.  The serial path, fallback semantics, fault
-        sites and ordering guarantees are identical to :meth:`map` — a pool
-        failure recomputes the whole table inline (bit-identical) and
-        counts in ``fallbacks``; the shared block is released by the
-        ``with`` around the pool run, so no segment outlives the call even
-        when workers crash.
-        """
-        n = table.n_rows
-        if n == 0 or not self.should_parallelize(n):
-            return self._serial_table(chunk_func, table, initializer, initargs)
-        started = time.perf_counter()
-        try:
-            shared = SharedTable.create(table)
-        except (OSError, ValueError) as exc:
-            # /dev/shm full or unavailable: degrade to the serial path
-            self._fall_back(exc)
-            return self._serial_table(chunk_func, table, initializer, initargs)
-        with shared:
-            self.encode_seconds += time.perf_counter() - started
-            self.shm_bytes += shared.nbytes
-            payloads = [
-                (chunk_func, shared.descriptor(rng), self._chunk_fault())
-                for rng in self.shard_ranges(n)
-            ]
-            self.descriptor_bytes += sum(
-                len(pickle.dumps(slice_)) for __, slice_, __unused in payloads
-            )
-            results = self._run_pool(
-                _run_table_chunk, payloads, initializer, initargs
-            )
-        if results is None:
-            return self._serial_table(chunk_func, table, initializer, initargs)
-        return [item for chunk in results for item in chunk]

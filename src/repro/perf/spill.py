@@ -3,10 +3,25 @@
 A :class:`~repro.perf.shards.ShardRunner` keeps peak RSS bounded by the
 working set of a single shard: every cleaned shard is *spilled* to disk
 and only re-materialized (whole, or one column at a time) when the merge
-or the post-merge analytics needs it.  The file payload is the exact
-columnar wire form of :func:`repro.perf.shm.encode_table` — the same
-NUMERIC/CATEGORICAL/TEXT part layout the shared-memory transport uses —
-so a table round-trips bit-identically through either transport.
+or the post-merge analytics needs it.
+
+Columnar codec (:func:`encode_table`): every column becomes a few raw
+parts packed back to back in the payload:
+
+* ``NUMERIC`` — the raw little-endian ``float64`` buffer (``NaN`` is
+  preserved bit-for-bit, so missing values survive the round trip);
+* ``CATEGORICAL`` — dictionary encoding: an ``int32`` code per row
+  (``-1`` = missing) plus the vocabulary, in first-appearance order, as
+  ``int64`` offsets into one UTF-8 blob.  EPC vocabularies are tiny
+  (energy classes, yes/no flags), so thousands of repeated strings
+  collapse into a 4-byte code each;
+* ``TEXT`` — ``int64`` offsets into a UTF-8 blob plus a ``uint8``
+  validity byte per row (``0`` = missing), which keeps ``None``
+  distinguishable from the empty string.
+
+The round trip is deterministic and exact: ``decode(encode(column)) ==
+column`` under :meth:`Column.__eq__` for every kind, including ``NaN``,
+``None`` and non-ASCII street names.
 
 File layout::
 
@@ -44,13 +59,164 @@ import mmap
 import os
 import struct
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..dataset.table import ColumnKind, Table
-from ..faults.plan import DATASET_READ, DATASET_WRITE, FaultInjector, FaultKind
-from .shm import ColumnSpec, _decode_column, encode_table
+import numpy as np
 
-__all__ = ["SpillError", "SpillFile", "write_spill"]
+from ..dataset.table import Column, ColumnKind, Table
+from ..faults.plan import DATASET_READ, DATASET_WRITE, FaultInjector, FaultKind
+
+__all__ = ["ColumnSpec", "SpillError", "SpillFile", "encode_table", "write_spill"]
+
+#: Part labels used in :class:`ColumnSpec.parts`.
+_F8 = "f8"                # raw float64 values
+_CODES = "codes"          # int32 dictionary codes (-1 = missing)
+_VOCAB_OFFSETS = "vocab_offsets"  # int64 offsets into the vocab blob
+_VOCAB_BLOB = "vocab_blob"        # UTF-8 vocabulary strings
+_OFFSETS = "offsets"      # int64 offsets into the text blob (n_rows + 1)
+_BLOB = "blob"            # UTF-8 text bytes
+_VALIDITY = "validity"    # uint8 per row (0 = missing)
+
+
+@dataclass(frozen=True)
+class ColumnSpec:
+    """Where one encoded column lives inside the spill payload.
+
+    ``parts`` maps a part label to its ``(byte_offset, byte_length)``
+    window; the spill header stores these windows, which is what lets a
+    reader decode one column without touching the others.
+    """
+
+    name: str
+    kind: ColumnKind
+    parts: tuple[tuple[str, int, int], ...]
+
+    def window(self, label: str) -> tuple[int, int]:
+        """The ``(offset, length)`` of part *label*."""
+        for part, offset, length in self.parts:
+            if part == label:
+                return offset, length
+        raise KeyError(f"column {self.name!r} has no part {label!r}")
+
+
+def _encode_utf8(values) -> list[bytes]:
+    """UTF-8 bytes per value (missing encodes as empty; validity is
+    tracked separately so ``None`` and ``""`` stay distinct)."""
+    return [
+        b"" if v is None else str(v).encode("utf-8", "surrogatepass")
+        for v in values
+    ]
+
+
+def _pack_offsets(encoded: list[bytes]) -> np.ndarray:
+    """Cumulative ``int64`` offsets (length ``len(encoded) + 1``)."""
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in encoded], out=offsets[1:])
+    return offsets
+
+
+def _column_parts(column: Column) -> list[tuple[str, bytes]]:
+    """The raw buffer parts of one column, in spec order."""
+    if column.kind is ColumnKind.NUMERIC:
+        arr = np.ascontiguousarray(column.values, dtype="<f8")
+        return [(_F8, arr.tobytes())]
+    values = column.values
+    if column.kind is ColumnKind.CATEGORICAL:
+        # first-appearance order keeps the dictionary deterministic
+        vocab = list(dict.fromkeys(v for v in values if v is not None))
+        code_of = {v: i for i, v in enumerate(vocab)}
+        codes = np.fromiter(
+            (-1 if v is None else code_of[v] for v in values),
+            dtype=np.int32, count=len(values),
+        )
+        vocab_bytes = _encode_utf8(vocab)
+        return [
+            (_CODES, codes.tobytes()),
+            (_VOCAB_OFFSETS, _pack_offsets(vocab_bytes).tobytes()),
+            (_VOCAB_BLOB, b"".join(vocab_bytes)),
+        ]
+    encoded = _encode_utf8(values)
+    validity = np.fromiter(
+        (0 if v is None else 1 for v in values), dtype=np.uint8, count=len(values)
+    )
+    return [
+        (_OFFSETS, _pack_offsets(encoded).tobytes()),
+        (_BLOB, b"".join(encoded)),
+        (_VALIDITY, validity.tobytes()),
+    ]
+
+
+def _decode_column(
+    spec: ColumnSpec, buf: memoryview, lo: int, hi: int
+) -> Column:
+    """Decode rows ``[lo, hi)`` of one column, copying out of *buf*."""
+
+    def part(label: str, dtype) -> np.ndarray:
+        offset, length = spec.window(label)
+        return np.frombuffer(buf, dtype=dtype, offset=offset,
+                             count=length // np.dtype(dtype).itemsize)
+
+    if spec.kind is ColumnKind.NUMERIC:
+        return Column(spec.name, spec.kind, part(_F8, "<f8")[lo:hi].copy())
+    if spec.kind is ColumnKind.CATEGORICAL:
+        codes = part(_CODES, np.int32)[lo:hi]
+        vocab_offsets = part(_VOCAB_OFFSETS, np.int64)
+        blob_lo, blob_len = spec.window(_VOCAB_BLOB)
+        blob = bytes(buf[blob_lo : blob_lo + blob_len])
+        vocab = [
+            blob[vocab_offsets[i] : vocab_offsets[i + 1]].decode(
+                "utf-8", "surrogatepass"
+            )
+            for i in range(len(vocab_offsets) - 1)
+        ]
+        lookup = np.array([*vocab, None], dtype=object)  # code -1 -> None
+        out = lookup[codes] if len(codes) else np.array([], dtype=object)
+        return Column(spec.name, spec.kind, out)
+    offsets = part(_OFFSETS, np.int64)
+    validity = part(_VALIDITY, np.uint8)
+    blob_lo, blob_len = spec.window(_BLOB)
+    blob = bytes(buf[blob_lo : blob_lo + blob_len])
+    # through the constructor, so equal cells decode to one shared string
+    return Column.text(
+        spec.name,
+        (
+            blob[offsets[i] : offsets[i + 1]].decode("utf-8", "surrogatepass")
+            if validity[i]
+            else None
+            for i in range(lo, hi)
+        ),
+    )
+
+
+def encode_table(
+    table: Table,
+) -> tuple[tuple[ColumnSpec, ...], list[bytes], int]:
+    """Encode *table* into its columnar wire form.
+
+    Returns ``(specs, buffers, total_bytes)``: one :class:`ColumnSpec` per
+    column, the raw part buffers in offset order (concatenating them
+    yields the payload the specs' windows index into), and the payload
+    size.  :func:`write_spill` writes the buffers as the file payload and
+    the specs into the header.
+    """
+    buffers: list[bytes] = []
+    spec_parts: list[list[tuple[str, int, int]]] = []
+    cursor = 0
+    for name in table.column_names:
+        column = table.column(name)
+        windows: list[tuple[str, int, int]] = []
+        for label, raw in _column_parts(column):
+            windows.append((label, cursor, len(raw)))
+            buffers.append(raw)
+            cursor += len(raw)
+        spec_parts.append(windows)
+    specs = tuple(
+        ColumnSpec(name, table.kind(name), tuple(windows))
+        for name, windows in zip(table.column_names, spec_parts)
+    )
+    return specs, buffers, cursor
+
 
 #: File magic: spill format, version 1.
 _MAGIC = b"RSPILL1\n"

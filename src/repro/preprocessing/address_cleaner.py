@@ -225,16 +225,10 @@ class AddressCleaner:
         the geocoder (that decision is made per-row in :meth:`clean_table`
         so quota accounting stays centralized).
         """
-        normalized = normalize_address(raw_address)
-        if not normalized:
-            return None, MatchStatus.SKIPPED, 0.0
-        if normalized in self._street_set:
-            return normalized, MatchStatus.EXACT, 1.0
-        hit = self._index.best_match(normalized, phi=self.config.phi)
-        if hit is None:
-            return None, MatchStatus.UNRESOLVED, 0.0
-        index, sim = hit
-        return self._streets[index], MatchStatus.MATCHED, sim
+        return _resolve(
+            self._streets, self._street_set, self._index, self.config.phi,
+            raw_address,
+        )
 
     def _record_for(
         self, street: str, house_number: str | None, lat: float, lon: float
@@ -265,15 +259,14 @@ class AddressCleaner:
         are sharded across the executor; each worker process builds the
         gazetteer index once (in its initializer) and reuses it for every
         address it receives.  The serial path resolves inline against the
-        shared index, so both paths return identical mappings.
+        index cached on the street map; both go through :func:`_resolve`,
+        so they return identical mappings.
         """
         distinct = list(dict.fromkeys(a for a in address if a is not None))
         if self.executor.should_parallelize(len(distinct)):
-            # ship the distinct addresses as one shared-memory text column;
-            # workers receive slice descriptors, not pickled string lists
-            resolutions = self.executor.map_table(
-                _resolve_chunk_worker,
-                Table([Column.text("address", distinct)]),
+            resolutions = self.executor.map(
+                _resolve_one_worker,
+                distinct,
                 initializer=_init_resolver_worker,
                 initargs=(self._streets, self.config.phi),
             )
@@ -293,7 +286,7 @@ class AddressCleaner:
         row-for-row identical to serial:
 
         1. **batch pre-pass** — every distinct raw address is resolved
-           up-front (sharded through shared memory when the executor
+           up-front (sharded across worker processes when the executor
            allows it) and the per-row street/status/similarity arrays are
            filled from that cache;
         2. **sequential geocoder fallback** — still-unresolved rows visit
@@ -511,6 +504,34 @@ class AddressCleaner:
         )
 
 
+# -- street resolution --------------------------------------------------------
+
+
+def _resolve(
+    streets: list[str],
+    street_set: set[str],
+    index: GazetteerIndex,
+    phi: float,
+    raw: str | None,
+) -> tuple[str | None, MatchStatus, float]:
+    """Resolve one raw address: normalize, exact hit, indexed match.
+
+    The one resolver of both paths — :meth:`AddressCleaner.resolve_street`
+    in the parent and :func:`_resolve_one_worker` in a pool worker — so
+    sharded resolution is bit-identical to the serial path.
+    """
+    normalized = normalize_address(raw)
+    if not normalized:
+        return None, MatchStatus.SKIPPED, 0.0
+    if normalized in street_set:
+        return normalized, MatchStatus.EXACT, 1.0
+    hit = index.best_match(normalized, phi=phi)
+    if hit is None:
+        return None, MatchStatus.UNRESOLVED, 0.0
+    matched, sim = hit
+    return streets[matched], MatchStatus.MATCHED, sim
+
+
 # -- worker-process resolution ------------------------------------------------
 #
 # Per-worker state for the parallel resolution path: each process builds the
@@ -526,34 +547,6 @@ def _init_resolver_worker(streets: list[str], phi: float) -> None:
 
 
 def _resolve_one_worker(raw: str) -> tuple[str | None, MatchStatus, float]:
-    """Resolve one raw address against the worker's gazetteer index.
-
-    Mirrors :meth:`AddressCleaner.resolve_street` exactly (same
-    normalization, same exact-hit short-circuit, same indexed match), so
-    sharded resolution is bit-identical to the serial path.
-    """
+    """Resolve one raw address against the worker's gazetteer index."""
     assert _WORKER_STATE is not None, "worker initializer did not run"
-    streets, street_set, index, phi = _WORKER_STATE
-    normalized = normalize_address(raw)
-    if not normalized:
-        return None, MatchStatus.SKIPPED, 0.0
-    if normalized in street_set:
-        return normalized, MatchStatus.EXACT, 1.0
-    hit = index.best_match(normalized, phi=phi)
-    if hit is None:
-        return None, MatchStatus.UNRESOLVED, 0.0
-    matched, sim = hit
-    return streets[matched], MatchStatus.MATCHED, sim
-
-
-def _resolve_chunk_worker(
-    chunk: Table,
-) -> list[tuple[str | None, MatchStatus, float]]:
-    """Resolve one shared-memory slice of distinct addresses.
-
-    ``chunk`` is the decoded text column a worker received as a
-    :class:`~repro.perf.shm.TableSlice` descriptor; each address goes
-    through :func:`_resolve_one_worker`, so results are bit-identical to
-    the serial path.
-    """
-    return [_resolve_one_worker(raw) for raw in chunk["address"]]
+    return _resolve(*_WORKER_STATE, raw)

@@ -160,9 +160,9 @@ class TestChaosSmoke:
         if engine.executor.fallbacks:
             assert "parallel_fallback" in _degradation_kinds(engine)
 
-    def test_parallel_shm_output_equals_serial(self, smoke_collection):
-        # the shared-memory parallel path must be Table.__eq__-identical
-        # to the serial path, not merely fingerprint-identical
+    def test_parallel_output_equals_serial(self, smoke_collection):
+        # the parallel path must be Table.__eq__-identical to the serial
+        # path, not merely fingerprint-identical
         outputs = []
         for jobs in (1, 2):
             engine = Indice(smoke_collection, _chaos_config(n_jobs=jobs))
@@ -226,7 +226,7 @@ class TestChaosSmoke:
 # ---------------------------------------------------------------------------
 
 #: ``parallel.worker`` arrivals of the smoke pipeline plus one district
-#: dashboard: the eight address-resolution slices and one task per K of
+#: dashboard: the eight address-resolution chunks and one task per K of
 #: the sweep.  The feature matrices and the region means are serial.
 SMOKE_WORKER_ARRIVALS = 11
 
@@ -247,19 +247,19 @@ class TestFallbacksAreLogged:
         assert injector.arrivals("parallel.worker") == SMOKE_WORKER_ARRIVALS
 
     def test_only_address_resolution_ships_tables(self, smoke_collection, monkeypatch):
-        """The pipeline and a dashboard reach ``map_table`` only to resolve
+        """The pipeline and a dashboard reach ``map`` only to resolve
         addresses: feature matrices and region means never pay a pool."""
         callers = []
-        map_table = ParallelMap.map_table
+        row_map = ParallelMap.map
 
         def spy(self, *args, **kwargs):
             caller = sys._getframe(1)
             callers.append(
                 (caller.f_globals["__name__"], caller.f_code.co_name)
             )
-            return map_table(self, *args, **kwargs)
+            return row_map(self, *args, **kwargs)
 
-        monkeypatch.setattr(ParallelMap, "map_table", spy)
+        monkeypatch.setattr(ParallelMap, "map", spy)
         _run_pipeline_and_dashboard(smoke_collection, None)
         assert callers == [
             ("repro.preprocessing.address_cleaner", "_resolve_distinct")

@@ -1,6 +1,7 @@
 """Tests for the performance layer: executor, stage cache, parallel cleaning."""
 
 import dataclasses
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +39,16 @@ def _square(x):
 
 def _tag_worker(x):
     return ("tagged", x)
+
+
+_PARENT_PID = os.getpid()
+
+
+def _die_in_worker(x):
+    """Hard-crash a worker process (never the parent's serial path)."""
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return x * x
 
 
 def _raise_on_three(x):
@@ -97,10 +108,17 @@ class TestParallelMap:
         assert ParallelMap(n_jobs=-1).resolve_jobs() >= 1
 
     def test_shard_covers_all_items_in_order(self):
-        ex = ParallelMap(n_jobs=3, chunk_size=4)
-        chunks = ex.shard(list(range(10)))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert [x for c in chunks for x in c] == list(range(10))
+        # chunk size is ceil(n / (jobs * 4)): 3 jobs -> at most 12 chunks
+        ex = ParallelMap(n_jobs=3)
+        for n, sizes in [
+            (10, [1] * 10),            # ceil(10 / 12) = 1
+            (12, [1] * 12),
+            (13, [2] * 6 + [1]),       # ceil(13 / 12) = 2
+            (100, [9] * 11 + [1]),     # ceil(100 / 12) = 9
+        ]:
+            chunks = ex.shard(list(range(n)))
+            assert [len(c) for c in chunks] == sizes
+            assert [x for c in chunks for x in c] == list(range(n))
 
     def test_empty_input(self):
         assert ParallelMap(n_jobs=2, min_parallel_items=0).map(_square, []) == []
@@ -133,6 +151,14 @@ class TestParallelMapFailureModes:
         a = serial.map(_add_offset, range(30), *args)
         b = parallel.map(_add_offset, range(30), *args)
         assert a == b == [x + 7 for x in range(30)]
+
+    def test_worker_death_falls_back_serially(self):
+        # a genuinely dead worker breaks the pool: the map is recomputed
+        # inline, bit-identical, and the fallback is counted
+        ex = ParallelMap(n_jobs=2, min_parallel_items=1)
+        assert ex.map(_die_in_worker, range(20)) == [x * x for x in range(20)]
+        assert ex.fallbacks == 1
+        assert "BrokenProcessPool" in ex.last_fallback_reason
 
     def test_fallback_reruns_initializer(self):
         from repro.faults import FaultInjector

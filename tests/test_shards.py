@@ -142,6 +142,7 @@ class TestSpillCodec:
                 read()
         with pytest.raises(SpillError):  # a released spill cannot re-enter
             spill.__enter__()
+        assert not hasattr(SpillFile, "close")  # `with` is the only release
 
     def test_unentered_spill_refuses_reads(self, collection, tmp_path):
         path = tmp_path / "table.spill"

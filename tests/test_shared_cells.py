@@ -3,7 +3,7 @@
 ``Column.categorical`` / ``Column.text`` keep one ``str`` per distinct
 value and share it between the cells that hold it, and every path that
 builds such columns — the generator, the noise model, CSV reading, the
-shared-memory and spill codecs, the analytics ``cluster`` column —
+spill codec, the analytics ``cluster`` column —
 inherits that.  The inputs here are built at run time (``"".join``,
 f-strings, CSV parsing) so CPython's own constant and small-string
 caching cannot make a check pass by accident.
@@ -30,7 +30,6 @@ from repro.dataset import (
 from repro.dataset.io import read_csv, write_csv
 from repro.dataset.synthetic import _choose
 from repro.dataset.table import Column, ColumnKind, Table
-from repro.perf import SharedTable, attach_slice
 from repro.perf.spill import SpillFile, write_spill
 
 
@@ -106,12 +105,6 @@ class TestPipelinePaths:
         path = tmp_path / "epc.csv"
         write_csv(dirty, path)
         assert _unshared(read_csv(path, text_columns=("address",))) == []
-
-    def test_shared_memory_round_trip(self, dirty):
-        with SharedTable.create(dirty) as shared:
-            back = attach_slice(shared.descriptor())
-        assert back == dirty
-        assert _unshared(back) == []
 
     def test_spill_round_trip(self, dirty, tmp_path):
         path = tmp_path / "table.spill"
