@@ -35,6 +35,11 @@ timeout 300 python -m pytest -m chaos tests/test_chaos_pipeline.py -q
 # property over NaN, signed zero, None vs "", surrogates and empty tables
 python -m pytest tests/test_spill_codec.py -q
 
+# the bounded Lloyd loop's differential oracle: the plain loop it
+# replaced, kept in the test, against it bit for bit over ties, empty
+# clusters, one dimension, signed zeros, NaN rows and far-off data
+python -m pytest tests/test_kmeans_oracle.py -q
+
 # the serving tier's concurrency harness (coalescing, 304s, shedding,
 # graceful reload) and its routing/path-policy suite (HEAD and abrupt
 # disconnects on the pooled handler) — real sockets, so both carry a

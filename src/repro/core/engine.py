@@ -452,6 +452,12 @@ class Indice:
         """Correlation check, clustering, discretization and rule mining."""
         cfg = self.config
         table = table if table is not None else self.select_case_study()
+        if table.n_rows == 0:
+            # the error K-means would raise, before any statistic of no rows
+            raise ValueError(
+                f"only 0 complete rows for k={cfg.k_range[0]}: "
+                "the case-study selection is empty"
+            )
         start = time.perf_counter()
         deadline = self._stage_deadline()
 

@@ -7,6 +7,8 @@ deployment sees: empty selections, fully-corrupted fields, exhausted
 quotas, degenerate distributions and hostile strings.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,8 +123,11 @@ class TestPipelineResilience:
         engine.preprocess()
         selected = engine.select_case_study()
         assert selected.n_rows == 0
-        with pytest.raises(ValueError):
-            engine.analyze(selected)
+        # the error comes before any statistic of the empty selection
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="selection is empty"):
+                engine.analyze(selected)
 
     def test_extreme_noise_pipeline_completes(self):
         collection = generate_epc_collection(SyntheticConfig(n_certificates=800, seed=5))
