@@ -35,7 +35,7 @@ timeout 300 python -m pytest -m chaos tests/test_chaos_pipeline.py -q
 # property over NaN, signed zero, None vs "", surrogates and empty tables
 python -m pytest tests/test_spill_codec.py -q
 
-# the bounded Lloyd loop's differential oracle: the plain loop it
+# the vectorized Lloyd loop's differential oracle: the plain loop it
 # replaced, kept in the test, against it bit for bit over ties, empty
 # clusters, one dimension, signed zeros, NaN rows and far-off data
 python -m pytest tests/test_kmeans_oracle.py -q

@@ -14,9 +14,9 @@ This module provides:
 * :func:`standardize` — z-score feature scaling (EPC attributes live on
   wildly different scales: m², W/m²K, dimensionless ratios);
 * :func:`kmeans` — Lloyd's algorithm with k-means++ seeding and restarts,
-  bounded so that rows which cannot change cluster skip the argmin, and
-  bit-identical to the plain loop (``tests/test_kmeans_oracle.py`` keeps
-  that loop as its oracle);
+  with hoisted row norms and ``np.bincount`` centroids, bit-identical to
+  the plain loop (``tests/test_kmeans_oracle.py`` keeps that loop as its
+  oracle);
 * :func:`sse_curve` / :func:`choose_k_elbow` — the SSE trend over a K range
   and the paper's elbow rule;
 * :func:`kmeans_auto` — the INDICE entry point: sweep K, pick the elbow,
@@ -137,21 +137,12 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     return centroids
 
 
-#: Padding of the Hamerly bounds, per unit of ``(|x| + max|c|)**2``: the
-#: expanded ``x2 - 2*cross + c2`` rounds by at most ``(d + 2) * 2**-53``
-#: of that, and the slack is 32 times the bound (``(d + 2) * 2**-48``).
-_SLACK = 2.0**-48
-#: Relative loosening of the lower bound each time a centroid shift lowers
-#: it, so the rounding of the update itself cannot make it too high.
-_WIDEN = 2.0**-50
-
-
 def _assign(
     points: np.ndarray, x2: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid assignment; returns (labels, squared distances).
 
-    *x2* is ``np.sum(points**2, axis=1)``.
+    *x2* is ``np.sum(points**2, axis=1)``, computed once per fit.
     """
     # (n, k) squared Euclidean distances without forming (n, k, d)
     sq_norms = np.sum(centroids**2, axis=1)
@@ -161,111 +152,36 @@ def _assign(
     return labels, dist_sq[np.arange(len(points)), labels]
 
 
-def _lloyd(
+def _update_centroids(
     points: np.ndarray,
-    x2: np.ndarray,
-    centroids: np.ndarray,
-    max_iterations: int,
-) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
-    """One Lloyd fit from *centroids*: (labels, centroids, sse, iterations, converged).
-
-    Every iteration assigns each row to its nearest centroid — the first
-    minimum of ``max(x2 - 2*cross + c2, 0)`` over one full
-    ``points @ centroids.T`` product — then moves each centroid to its
-    members' mean; an empty cluster is re-seeded at the worst-fitted row.
-    It stops when no label changes.
-
-    A Hamerly lower bound (SDM 2010) skips the argmin for rows that
-    cannot move.  ``lower`` bounds a row's distance to every centroid but
-    its own; each centroid shift lowers it by the triangle inequality.
-    The upper bound is the row's own distance, read from the full product
-    each iteration.  A row is skipped only when ``own + tol < lower**2``,
-    where ``tol`` bounds the rounding of any one computed distance, so its
-    own distance is strictly below every other computed one and the
-    argmin could only return its label.  A tie never passes, and a NaN or
-    inf fails the test, so such rows take the full path.
-
-    Member means are per-dimension ``np.bincount`` sums divided by the
-    counts: both that and ``members.mean(axis=0)`` add the members in row
-    order from ``+0.0`` when ``d >= 2``.  At ``d == 1`` numpy sums the
-    single column pairwise instead, so that case keeps the per-cluster
-    mean.
-    """
-    n, d = points.shape
-    k = len(centroids)
-    slack = (d + 2) * _SLACK
-    # tol = slack * (|x| + max|c|)**2 <= 2 * slack * (x2 + max c2)
-    row_tol = 2 * slack * x2
-    offsets = np.arange(n) * k  # flat index of each row in cross
-    columns = np.ascontiguousarray(points.T) if d > 1 else None
-    labels = np.full(n, -1, dtype=np.intp)
-    lower = np.full(n, np.inf)  # stays inf at k == 1: no other centroid
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iterations + 1):
-        sq_norms = np.sum(centroids**2, axis=1)
-        cross = points @ centroids.T
-        tol = row_tol + 2 * slack * sq_norms.max()
-        if iteration == 1:
-            rows = np.arange(n)
-        else:
-            own = _own_dist_sq(x2, cross, sq_norms, labels, offsets)
-            rows = np.flatnonzero(~(own + tol < lower * lower))
-        dist_sq = cross[rows]
-        dist_sq *= 2
-        np.subtract(x2[rows, None], dist_sq, out=dist_sq)
-        dist_sq += sq_norms
-        np.maximum(dist_sq, 0.0, out=dist_sq)
-        nearest = np.argmin(dist_sq, axis=1)
-        if not (nearest != labels[rows]).any():
-            converged = True
-            break
-        labels[rows] = nearest
-        if k > 1:
-            others = dist_sq.T.copy()
-            others[nearest, np.arange(len(rows))] = np.inf
-            lower[rows] = np.sqrt(np.maximum(others.min(axis=0) - tol[rows], 0.0))
-
-        counts = np.bincount(labels, minlength=k)
-        filled = counts > 0
-        previous = centroids
-        centroids = np.empty_like(previous)
-        if columns is None:
-            for c in np.flatnonzero(filled):
-                centroids[c] = points[labels == c].mean(axis=0)
-        else:
-            for j, column in enumerate(columns):
-                centroids[:, j] = np.bincount(labels, weights=column, minlength=k)
-            centroids[filled] /= counts[filled, None]
-        if not filled.all():
-            # re-seed an empty cluster at the worst-fitted point
-            worst = np.argmax(_own_dist_sq(x2, cross, sq_norms, labels, offsets))
-            centroids[~filled] = points[int(worst)]
-
-        if k > 1:
-            # no centroid moved further than the largest shift
-            shift = np.sqrt(np.sum((centroids - previous) ** 2, axis=1)).max()
-            lower -= shift * (1 + 2 * slack)
-            np.maximum(lower, 0.0, out=lower)
-            lower *= 1 - _WIDEN
-    if converged:
-        sse = float(own.sum())
-    else:
-        sse = float(_assign(points, x2, centroids)[1].sum())
-    return labels, centroids, sse, iteration, converged
-
-
-def _own_dist_sq(
-    x2: np.ndarray,
-    cross: np.ndarray,
-    sq_norms: np.ndarray,
+    columns: np.ndarray | None,
     labels: np.ndarray,
-    offsets: np.ndarray,
+    dist_sq: np.ndarray,
+    k: int,
 ) -> np.ndarray:
-    """Each row's squared distance to its own centroid, as :func:`_assign` has it."""
-    return np.maximum(
-        x2 - 2 * np.take(cross, offsets + labels) + sq_norms[labels], 0.0
-    )
+    """Each cluster's member mean; an empty cluster is re-seeded at the worst-fitted row.
+
+    *columns* is ``points.T`` in C order, or None when ``d == 1``.  The
+    per-dimension ``np.bincount`` sums are the same floats as
+    ``points[labels == c].mean(axis=0)``'s: for ``d >= 2`` numpy reduces
+    the slow axis by adding the rows in order from ``+0.0``, as bincount
+    does.  A single column is summed pairwise instead, so ``d == 1``
+    keeps the per-cluster mean.
+    """
+    counts = np.bincount(labels, minlength=k)
+    if columns is None:
+        centroids = np.empty((k, 1))
+        for c in np.flatnonzero(counts):
+            centroids[c] = points[labels == c].mean(axis=0)
+    else:
+        centroids = np.stack(
+            [np.bincount(labels, weights=column, minlength=k) for column in columns],
+            axis=1,
+        )
+        centroids /= np.maximum(counts, 1)[:, None]
+    if not counts.all():
+        centroids[counts == 0] = points[int(np.argmax(dist_sq))]
+    return centroids
 
 
 def kmeans(
@@ -292,13 +208,25 @@ def kmeans(
         raise ValueError(f"only {len(fit_idx)} complete rows for k={k}")
     points = matrix[fit_idx]
     x2 = np.sum(points**2, axis=1)
+    columns = np.ascontiguousarray(points.T) if points.shape[1] > 1 else None
     rng = np.random.default_rng(seed)
 
     best: tuple[float, np.ndarray, np.ndarray, int, bool] | None = None
     for __ in range(n_init):
-        labels, centroids, sse, iteration, converged = _lloyd(
-            points, x2, _kmeans_plus_plus(points, k, rng), max_iterations
-        )
+        centroids = _kmeans_plus_plus(points, k, rng)
+        labels = np.full(len(points), -1, dtype=np.intp)
+        converged = False
+        iteration = 0
+        for iteration in range(1, max_iterations + 1):
+            new_labels, dist_sq = _assign(points, x2, centroids)
+            if np.array_equal(new_labels, labels):
+                converged = True
+                break
+            labels = new_labels
+            centroids = _update_centroids(points, columns, labels, dist_sq, k)
+        if not converged:
+            __, dist_sq = _assign(points, x2, centroids)
+        sse = float(dist_sq.sum())
         if best is None or sse < best[0]:
             best = (sse, labels, centroids, iteration, converged)
 

@@ -452,12 +452,6 @@ class Indice:
         """Correlation check, clustering, discretization and rule mining."""
         cfg = self.config
         table = table if table is not None else self.select_case_study()
-        if table.n_rows == 0:
-            # the error K-means would raise, before any statistic of no rows
-            raise ValueError(
-                f"only 0 complete rows for k={cfg.k_range[0]}: "
-                "the case-study selection is empty"
-            )
         start = time.perf_counter()
         deadline = self._stage_deadline()
 
@@ -482,6 +476,10 @@ class Indice:
                 self._analyzed = cached
                 return cached
 
+        features = feature_matrix(table, cfg.features)
+        if not (~np.isnan(features).any(axis=1)).any():
+            # raised before any statistic, so none warns about no rows
+            raise ValueError("the case-study selection has no complete feature rows")
         correlation = correlation_matrix(table, list(cfg.features))
         self.log.record(
             "analytics", "correlation",
@@ -490,7 +488,7 @@ class Indice:
         )
 
         kmeans_start = time.perf_counter()
-        matrix, __ = standardize(feature_matrix(table, cfg.features))
+        matrix, __ = standardize(features)
         with self._logged_fallbacks("analytics", "the K-means sweep"):
             clustering = kmeans_auto(
                 matrix, cfg.k_range, seed=cfg.seed, n_init=cfg.kmeans_n_init,

@@ -14,11 +14,10 @@ row's cache invalidation to its own shard:
   (:func:`repro.core.engine._transform_rows`) and *spills* it to disk in
   the columnar codec of :mod:`repro.perf.spill`.  The missed shards run
   as coarse tasks on the engine's pool (one shard per task, each
-  cleaning serially, the largest first); cache lookups, spill
-  validation, every log record and every cache write stay in the
-  parent, in shard order.  A single miss runs inline, and so does
-  every task when the engine has a fault injector — the injector's
-  per-site arrival order is parent state.
+  cleaning serially); cache lookups, spill validation, every log record
+  and every cache write stay in the parent, in shard order.  A single
+  miss runs inline, and so does every task when the engine has a fault
+  injector — the injector's per-site arrival order is parent state.
   Peak RSS stays bounded by two resident shards across processes;
 * the merge runs the engine's one global outlier pass
   (:meth:`~repro.core.engine.Indice._outlier_pass`) over the analysis
@@ -534,7 +533,9 @@ class ShardRunner:
             tasks.append(_ShardTask(index, spec, spill_name))
             lookups[index] = (cache_key, time.perf_counter() - started)
 
-        results = self._run_tasks(tasks)
+        results = dict(
+            zip((task.index for task in tasks), self._run_tasks(tasks))
+        )
         gazetteer = plan.collection.street_map.match_index()
         records, self.stats = [], []
         for index, spec in enumerate(plan.shards):
@@ -564,14 +565,11 @@ class ShardRunner:
                 )
         return records
 
-    def _run_tasks(self, tasks: list[_ShardTask]) -> dict[int, _ShardResult]:
+    def _run_tasks(self, tasks: list[_ShardTask]) -> list[_ShardResult]:
         """Run the transform *tasks* on the engine's pool or inline.
 
-        Returns each task's result under its plan index.  Two or more
-        misses with two jobs run one task per worker, each cleaning
-        serially (no nested pools), largest shard first: the pool hands
-        tasks out in dispatch order, so a big shard never starts last
-        and leaves the other worker idle.  With a fault injector the
+        Two or more misses with two jobs run one task per worker, each
+        cleaning serially (no nested pools).  With a fault injector the
         tasks run inline in shard order instead: the injector's per-site
         arrival order is parent state, and it is what makes a chaos run
         reproducible.  Inline tasks clean through the engine's executor.
@@ -581,7 +579,6 @@ class ShardRunner:
             engine.executor.should_parallelize_tasks(len(tasks))
         )
         if pooled:
-            tasks = sorted(tasks, key=lambda task: task.spec.n_rows, reverse=True)
             executor, cleaner = engine.executor, ParallelMap()
             watch = engine._logged_fallbacks("sharding", "the shard transforms")
         else:
@@ -592,13 +589,12 @@ class ShardRunner:
         state = (self.plan, engine.config, engine.injector, cleaner, self.spill_dir)
         try:
             with watch:
-                results = executor.map_tasks(
+                return executor.map_tasks(
                     _transform_shard, tasks,
                     initializer=_init_transform_worker, initargs=(state,),
                 )
         finally:
             _init_transform_worker(None)  # drop the parent's reference
-        return {task.index: result for task, result in zip(tasks, results)}
 
     # -- merge-side reads --------------------------------------------------
 

@@ -1,9 +1,9 @@
-"""Differential oracle for the bounded Lloyd loop in ``analytics/kmeans.py``.
+"""Differential oracle for the vectorized Lloyd loop in ``analytics/kmeans.py``.
 
-``reference_kmeans`` below is the plain Lloyd loop that the bounded loop
-replaced, kept verbatim: every iteration computes the full distance
-matrix, takes its argmin and rebuilds each centroid from a boolean mask.
-The bounded loop must return the same ``labels``, ``centroids`` (bit for
+``reference_kmeans`` below is the plain Lloyd loop that the vectorized
+loop replaced, kept verbatim: every iteration recomputes the row norms,
+computes the full distance matrix, takes its argmin and rebuilds each
+centroid from a boolean mask.  The vectorized loop must return the same ``labels``, ``centroids`` (bit for
 bit, ``-0.0`` included), ``sse``, ``n_iterations`` and ``converged`` on
 every input: lattice points with exact ties, duplicate and identical
 rows, K = 1 and K = n, clusters forced empty, one and several
@@ -144,7 +144,7 @@ def _matrices(draw) -> np.ndarray:
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), matrix=_matrices())
-def test_bounded_loop_matches_reference(data, matrix):
+def test_vectorized_loop_matches_reference(data, matrix):
     n_fit = int((~np.isnan(matrix).any(axis=1)).sum())
     k = data.draw(st.one_of(st.just(1), st.just(n_fit), st.integers(1, n_fit)))
     max_iterations = data.draw(st.sampled_from([300, 300, 1, 2, 3]))
@@ -164,11 +164,11 @@ def _blobs(n: int, d: int, centers: int, spread: float, seed: int) -> np.ndarray
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
 def test_long_fits_match_reference(d, offset):
-    """Hundreds of rows over many iterations, where the bounds skip most rows.
+    """Hundreds of rows over many iterations.
 
     At an offset of 1e8 the expanded distances of neighbouring centroids
-    round to within each other's error: a bound without slack keeps labels
-    that the full argmin flips."""
+    round to within each other's error, so any change to the order of the
+    distance arithmetic flips labels."""
     matrix = _blobs(600, d, centers=7, spread=1.5, seed=d) + offset
     for k in (2, 6, 10):
         fit = assert_same_fit(matrix, k, n_init=2, seed=k)

@@ -126,8 +126,24 @@ class TestPipelineResilience:
         # the error comes before any statistic of the empty selection
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="selection is empty"):
+            with pytest.raises(ValueError, match="no complete feature rows"):
                 engine.analyze(selected)
+
+    def test_selection_without_complete_rows_raises_cleanly(self, tiny_collection):
+        engine = Indice(
+            tiny_collection,
+            IndiceConfig(kmeans_n_init=2, run_multivariate_outliers=False),
+        )
+        engine.preprocess()
+        selected = engine.select_case_study()
+        assert selected.n_rows > 0
+        blank = Column(
+            engine.config.features[0], ColumnKind.NUMERIC, np.full(selected.n_rows, np.nan)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no complete feature rows"):
+                engine.analyze(selected.with_column(blank))
 
     def test_extreme_noise_pipeline_completes(self):
         collection = generate_epc_collection(SyntheticConfig(n_certificates=800, seed=5))

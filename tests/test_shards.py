@@ -674,22 +674,6 @@ def pool_starts(monkeypatch):
     return starts
 
 
-@pytest.fixture
-def dispatched(monkeypatch):
-    """The shard keys of every ``map_tasks`` call of the shard transforms."""
-    orders = []
-    real = parallel_module.ParallelMap.map_tasks
-
-    def spying(executor, func, tasks, *args, **kwargs):
-        tasks = list(tasks)
-        if func is shards_module._transform_shard:
-            orders.append([task.spec.key for task in tasks])
-        return real(executor, func, tasks, *args, **kwargs)
-
-    monkeypatch.setattr(parallel_module.ParallelMap, "map_tasks", spying)
-    return orders
-
-
 def _generator_plan():
     return ShardPlan.from_generator(
         SyntheticConfig(n_certificates=1200, seed=23), "by-district",
@@ -765,29 +749,6 @@ class TestShardTasksAcrossJobs:
         assert [s.spill_bytes for s in pooled.shard_stats] == [
             s.spill_bytes for s in serial.shard_stats
         ]
-
-    def test_pool_dispatches_the_largest_shards_first(
-        self, tmp_path, pool_starts, dispatched
-    ):
-        plan = _generator_plan()
-        serial_engine, serial, __ = self._run(plan, tmp_path / "serial", 1)
-        del dispatched[:]  # the serial run's inline call
-        pooled_engine, pooled, __ = self._run(plan, tmp_path / "pooled", 2)
-        assert shards_module._init_transform_worker in pool_starts
-        by_size = sorted(plan.shards, key=lambda spec: spec.n_rows, reverse=True)
-        assert dispatched == [[spec.key for spec in by_size]]
-        # the plan lists the largest shard last, so the order did change
-        assert dispatched[0] != [spec.key for spec in plan.shards]
-        # results, log and cache order stay those of the plan
-        assert pooled.preprocessing.table == serial.preprocessing.table
-        assert pooled.analytics.table == serial.analytics.table
-        assert [s.key for s in pooled.shard_stats] == [s.key for s in plan.shards]
-        assert self._sequence(pooled_engine.log) == self._sequence(serial_engine.log)
-
-    def test_injected_runs_dispatch_in_shard_order(self, tmp_path, dispatched):
-        plan = _generator_plan()
-        self._run(plan, tmp_path, 2, "geocoder.request:quota+1000")
-        assert dispatched == [[spec.key for spec in plan.shards]]
 
     def test_parent_index_learns_what_the_workers_resolved(self, tmp_path):
         memos = []
