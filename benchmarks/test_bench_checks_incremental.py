@@ -94,7 +94,7 @@ def test_a12_warm_sweep_under_one_second(benchmark, tmp_path):
             f"({warm.n_from_cache}/{warm.n_files} files from cache)",
             "",
             "warm runs reuse content-hash-keyed facts and findings; the",
-            "project-level rules (COL*, PAR*, IMP001, FAULT001) re-run",
+            "project-level rules (COL*, IMP001) re-run",
             "every sweep but read cached facts, so no",
             "file is re-parsed unless its bytes changed.",
         ],

@@ -36,7 +36,6 @@ during preprocessing anyway).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -267,9 +266,9 @@ def _sweep(
 
     With an *executor* every K is one task of
     :meth:`~repro.perf.parallel.ParallelMap.map_tasks`, largest K first
-    (the longest fits start first, so two workers finish together).  Each
-    fit seeds its own generator from *seed*, so where it runs cannot
-    change a bit of it.
+    (the longest fits start first, so two workers finish together); each
+    worker gets the matrix once, as the map's state.  Each fit seeds its
+    own generator from *seed*, so where it runs cannot change a bit of it.
     """
     lo, hi = k_range
     if lo < 1 or hi < lo:
@@ -280,10 +279,14 @@ def _sweep(
             for k in range(lo, hi + 1)
         }
     ks = range(hi, lo - 1, -1)
-    fits = executor.map_tasks(
-        functools.partial(kmeans, matrix, n_init=n_init, seed=seed), ks
-    )
+    fits = executor.map_tasks(_fit_k, ks, args=(matrix, n_init, seed))
     return dict(sorted(zip(ks, fits)))
+
+
+def _fit_k(state: tuple[np.ndarray, int, int], k: int) -> KMeansResult:
+    """One K of the elbow sweep; *state* is ``(matrix, n_init, seed)``."""
+    matrix, n_init, seed = state
+    return kmeans(matrix, k, n_init=n_init, seed=seed)
 
 
 def choose_k_elbow(curve: dict[int, float]) -> int:

@@ -8,8 +8,7 @@ content hash is already known.  The summaries feed the
 :class:`~repro.checks.project.ProjectIndex` against which every
 cross-module rule runs, so a warm incremental run re-checks the whole
 contract surface without re-parsing unchanged files.  Findings are then
-filtered through ``# repro: noqa[RULE]`` pragmas and the optional
-baseline.  The result carries everything a front end needs: surviving
+filtered through ``# repro: noqa[RULE]`` pragmas.  The result carries everything a front end needs: surviving
 findings (sorted by location), suppression counts, cache statistics and
 parse errors.
 """
@@ -21,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import Baseline
 from .cache import AnalysisCache, content_hash
 from .model import Finding, Rule, SourceFile, all_rules
 from .pragmas import parse_pragmas, pragma_index_from_dict, pragma_index_to_dict
@@ -63,7 +61,6 @@ class CheckResult:
     findings: list[Finding] = field(default_factory=list)
     n_files: int = 0
     n_suppressed: int = 0
-    n_baselined: int = 0
     #: Files whose summary came from the incremental cache (not re-parsed).
     n_from_cache: int = 0
     #: ``(display_path, message)`` for files that failed to parse.
@@ -77,11 +74,10 @@ class CheckResult:
     def to_dict(self) -> dict[str, object]:
         """The ``--format=json`` payload."""
         return {
-            "version": 2,
+            "version": 3,
             "files": self.n_files,
             "cached": self.n_from_cache,
             "suppressed": self.n_suppressed,
-            "baselined": self.n_baselined,
             "errors": [{"path": p, "message": m} for p, m in self.errors],
             "findings": [f.to_dict() for f in self.findings],
         }
@@ -94,9 +90,6 @@ class Checker:
     ----------
     rules:
         The rules to run (default: every registered rule).
-    baseline:
-        Grandfathered findings subtracted from the result (default: none —
-        the project contract is an empty baseline on ``src/repro``).
     cache:
         An :class:`~repro.checks.cache.AnalysisCache` reusing per-file
         summaries across runs (default: none — every file is analyzed).
@@ -105,11 +98,9 @@ class Checker:
     def __init__(
         self,
         rules: Sequence[Rule] | None = None,
-        baseline: Baseline | None = None,
         cache: AnalysisCache | None = None,
     ):
         self.rules: tuple[Rule, ...] = tuple(rules) if rules is not None else all_rules()
-        self.baseline = baseline
         self.cache = cache
 
     def load(self, path: Path) -> SourceFile:
@@ -238,24 +229,18 @@ class Checker:
             summary.display: pragma_index_from_dict(summary.pragmas)
             for summary in live
         }
-        kept: list[Finding] = []
         for finding in sorted(file_findings + project_findings):
             pragmas = pragma_index.get(finding.path)
             if pragmas is not None and pragmas.suppresses(finding):
                 result.n_suppressed += 1
             else:
-                kept.append(finding)
+                result.findings.append(finding)
 
-        if self.baseline is not None:
-            kept, result.n_baselined = self.baseline.apply(kept)
-        result.findings = kept
         if self.cache is not None:
             self.cache.save()
         return result
 
 
-def check_tree(
-    root: str | Path, baseline: Baseline | None = None
-) -> CheckResult:
+def check_tree(root: str | Path) -> CheckResult:
     """Convenience one-shot: run every rule over *root*."""
-    return Checker(baseline=baseline).run([root])
+    return Checker().run([root])

@@ -4,11 +4,8 @@ Usage::
 
     python -m repro.checks src/repro                 # text findings, exit 1 if any
     python -m repro.checks src/ --format=json        # machine-readable output
-    python -m repro.checks src/ --format=sarif       # CI code-scanning output
     python -m repro.checks src/repro --cache .checks-cache.json
     python -m repro.checks src/repro --changed-only  # git-aware fast path
-    python -m repro.checks src/repro --baseline b.json
-    python -m repro.checks src/repro --write-baseline b.json
     python -m repro.checks --all                     # sweep + ruff + mypy
     python -m repro.checks --list-rules
 
@@ -27,11 +24,9 @@ import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .baseline import Baseline
 from .cache import AnalysisCache, analysis_fingerprint
 from .checker import Checker, CheckResult
 from .model import all_rules
-from .sarif import to_sarif
 
 __all__ = ["main", "build_parser", "UsageError"]
 
@@ -46,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.checks",
         description=(
             "AST-based project analyzer proving the pipeline's determinism, "
-            "cache-fingerprint, fault-site, column-lineage, fork-safety and "
-            "config-parity contracts"
+            "failure-handling, column-lineage, import-acyclicity and "
+            "lock-discipline contracts"
         ),
     )
     parser.add_argument(
@@ -55,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src/repro)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="clickable file:line lines (text), one JSON document, or SARIF 2.1.0",
+        "--format", choices=("text", "json"), default="text",
+        help="clickable file:line lines (text) or one JSON document",
     )
     parser.add_argument(
         "--select", metavar="RULES", default=None,
@@ -72,14 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
             "report per-file findings only for files changed vs. git HEAD "
             "(cross-module findings are always reported)"
         ),
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="subtract the grandfathered findings recorded in this JSON file",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="PATH", default=None,
-        help="write the current findings as a new baseline and exit 0",
     )
     parser.add_argument(
         "--all", action="store_true",
@@ -239,8 +226,7 @@ def _render_text(result: CheckResult, out: TextIO) -> None:
         out.write(finding.render() + "\n")
     summary = (
         f"{result.n_files} files: {len(result.findings)} finding(s), "
-        f"{result.n_suppressed} pragma-suppressed, "
-        f"{result.n_baselined} baselined"
+        f"{result.n_suppressed} pragma-suppressed"
     )
     if result.n_from_cache:
         summary += f", {result.n_from_cache} from cache"
@@ -296,34 +282,24 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     try:
         rules = _select_rules(args.select) if args.select else list(all_rules())
         changed = _changed_files() if args.changed_only else None
-        baseline = Baseline.load(args.baseline) if args.baseline else None
         cache = (
             AnalysisCache(args.cache, analysis_fingerprint(rules))
             if args.cache
             else None
         )
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         out.write(f"error: {exc}\n")
         return 2
 
-    checker = Checker(rules=rules, baseline=baseline, cache=cache)
+    checker = Checker(rules=rules, cache=cache)
     try:
         result = checker.run(args.paths, changed_only=changed)
     except Exception as exc:  # repro: noqa[EXC001] — boundary: an analyzer crash must exit 2, not a traceback
         out.write(f"internal analyzer error: {exc!r}\n")
         return 2
 
-    if args.write_baseline:
-        path = Baseline.from_findings(result.findings).save(args.write_baseline)
-        out.write(
-            f"wrote baseline with {len(result.findings)} finding(s) to {path}\n"
-        )
-        return 0
-
     if args.format == "json":
         out.write(json.dumps(result.to_dict(), indent=2) + "\n")
-    elif args.format == "sarif":
-        out.write(json.dumps(to_sarif(result, rules), indent=2) + "\n")
     else:
         _render_text(result, out)
     code = 0 if result.ok else 1

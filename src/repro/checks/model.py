@@ -43,14 +43,6 @@ class Finding:
         """The clickable one-line form: ``file:line:col: RULE message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def signature(self) -> tuple[str, str, str]:
-        """Line-independent identity used by baseline files.
-
-        Excludes the line/column so a baseline survives unrelated edits
-        above the grandfathered finding.
-        """
-        return (self.path, self.rule, self.message)
-
     def to_dict(self) -> dict[str, object]:
         """The JSON-output form."""
         return {
@@ -96,10 +88,6 @@ class Rule:
     name: str = ""
     #: One-line rationale tying the rule to a pipeline contract.
     rationale: str = ""
-    #: SARIF reporting level: ``error`` (contract violation), ``warning``
-    #: (latent hazard) or ``note`` — drives code-scanning display only;
-    #: every finding still fails the sweep with exit 1.
-    severity: str = "error"
 
     def check_file(self, file: SourceFile) -> Iterator[Finding]:
         """Findings of this rule in one file (default: none)."""

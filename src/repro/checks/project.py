@@ -1,22 +1,19 @@
 """Whole-program view: module naming, facts, import graph, symbol table.
 
 Per-file rules prove local invariants; the pipeline's *contracts between
-modules* (column lineage, fork-safety of parallel workers, import
-acyclicity) need a project-wide model.  This module builds it in two
-layers:
+modules* (column lineage, import acyclicity) need a project-wide model.
+This module builds it in two layers:
 
 1. :func:`extract_facts` walks one parsed file and distils everything the
    cross-module rules need into a plain JSON-serializable dict — imports,
-   module-level symbols, fault-hook call sites, per-function global
-   reads/mutations and local call edges, executor submissions and the
-   column-lineage sites of :mod:`.lineage`.  Facts never hold AST nodes,
+   module-level symbols and string constants, and the column-lineage
+   sites of :mod:`.lineage`.  Facts never hold AST nodes,
    so they can be cached per file (content-hash keyed, see
    :mod:`.cache`) and a warm incremental run re-parses nothing.
 2. :class:`ProjectIndex` aggregates one :class:`FileSummary` per file
    into the whole-program structures: the module map, the import graph
-   (with Tarjan SCC cycle detection), a project symbol table with
-   cross-module string-constant resolution, and a lightweight intra-module
-   call graph used to close worker functions over their helpers.
+   (with Tarjan SCC cycle detection) and a project symbol table with
+   cross-module string-constant resolution.
 
 Rules consume the index through :meth:`~repro.checks.model.Rule.check_index`.
 """
@@ -38,23 +35,7 @@ __all__ = [
 ]
 
 #: Bump when the facts schema changes so cached summaries invalidate.
-FACTS_VERSION = 7
-
-#: Attribute methods whose first argument names a fault-injection site.
-_HOOK_METHODS = ("arrive", "fire")
-
-#: Method names / types that mark a receiver as a process-pool executor.
-_EXECUTOR_TYPES = frozenset({"ParallelMap", "ProcessPoolExecutor"})
-#: Attribute/name convention for the engine-owned executor instance.
-_EXECUTOR_NAMES = frozenset({"executor"})
-
-#: Container methods that mutate their receiver in place.
-MUTATOR_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "add", "update", "setdefault",
-        "pop", "popitem", "remove", "discard", "clear", "appendleft",
-    }
-)
+FACTS_VERSION = 8
 
 
 def module_name_for(path: Path) -> str:
@@ -72,135 +53,10 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts) if parts else path.stem
 
 
-def _contains_call_to(node: ast.expr, names: frozenset[str] | set[str]) -> bool:
-    """Whether any sub-expression calls one of *names* (``X()`` / ``m.X()``)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            func = sub.func
-            target = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if target in names:
-                return True
-    return False
-
-
 def _string_or_none(node: ast.expr) -> str | None:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
-
-
-class _FunctionFacts(ast.NodeVisitor):
-    """Reads, mutations and local calls of one function body."""
-
-    def __init__(self, params: set[str]):
-        self.local: set[str] = set(params)
-        self.declared_global: set[str] = set()
-        self.reads: set[str] = set()
-        self.mutates: set[str] = set()
-        self.calls: set[str] = set()
-        self.nested_defs: set[str] = set()
-
-    # -- scope bookkeeping --------------------------------------------------
-
-    def visit_Global(self, node: ast.Global) -> None:
-        """``global X`` makes X a module binding inside this scope."""
-        self.declared_global.update(node.names)
-
-    def _visit_nested(self, node) -> None:
-        self.nested_defs.add(node.name)
-        self.local.add(node.name)
-        # nested scopes still read/mutate the same module globals
-        inner = _FunctionFacts(
-            {a.arg for a in node.args.args + node.args.kwonlyargs}
-        )
-        for stmt in node.body:
-            inner.visit(stmt)
-        self.reads |= inner.reads
-        self.mutates |= inner.mutates
-        self.calls |= inner.calls
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Record the nested def and fold its global accesses in."""
-        self._visit_nested(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Async nested defs behave exactly like sync ones here."""
-        self._visit_nested(node)
-
-    # -- reads, writes, mutations ------------------------------------------
-
-    def _assign_target(self, target: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            if target.id in self.declared_global:
-                self.mutates.add(target.id)
-            else:
-                self.local.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._assign_target(elt)
-        elif isinstance(target, (ast.Subscript, ast.Attribute)):
-            base = target.value
-            while isinstance(base, (ast.Subscript, ast.Attribute)):
-                base = base.value
-            if isinstance(base, ast.Name) and base.id not in self.local:
-                self.mutates.add(base.id)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        """Classify each target as a local bind or a global mutation."""
-        self.visit(node.value)
-        for target in node.targets:
-            self._assign_target(target)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        """``X += ...`` mutates X when X is not local."""
-        self.visit(node.value)
-        self._assign_target(node.target)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        """Annotated assignment: same classification as a plain one."""
-        if node.value is not None:
-            self.visit(node.value)
-        self._assign_target(node.target)
-
-    def visit_For(self, node: ast.For) -> None:
-        """Loop variables are locals of this scope."""
-        self.visit(node.iter)
-        self._assign_target(node.target)
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-
-    def visit_withitem(self, node: ast.withitem) -> None:
-        """``with ... as X`` binds X locally."""
-        self.visit(node.context_expr)
-        if node.optional_vars is not None:
-            self._assign_target(node.optional_vars)
-
-    def visit_comprehension(self, node: ast.comprehension) -> None:
-        """Comprehension variables are locals of this scope."""
-        self.visit(node.iter)
-        self._assign_target(node.target)
-        for cond in node.ifs:
-            self.visit(cond)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        """A loaded name outside the local set is a module-global read."""
-        if isinstance(node.ctx, ast.Load) and node.id not in self.local:
-            self.reads.add(node.id)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Record plain-name call edges and in-place mutator methods."""
-        if isinstance(node.func, ast.Name):
-            self.calls.add(node.func.id)
-        elif isinstance(node.func, ast.Attribute):
-            if node.func.attr in MUTATOR_METHODS and isinstance(
-                node.func.value, ast.Name
-            ):
-                name = node.func.value.id
-                if name not in self.local:
-                    self.mutates.add(name)
-        self.generic_visit(node)
 
 
 def extract_facts(tree: ast.Module) -> dict:
@@ -211,9 +67,6 @@ def extract_facts(tree: ast.Module) -> dict:
         "symbols": {},
         "string_consts": {},
         "string_tuples": {},
-        "hook_calls": [],
-        "functions": {},
-        "map_calls": [],
         "lineage": extract_lineage(tree),
     }
 
@@ -276,114 +129,7 @@ def extract_facts(tree: ast.Module) -> dict:
                     "name_refs": names,
                 }
 
-    # -- fault-hook call sites ---------------------------------------------
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr not in _HOOK_METHODS:
-            continue
-        arg = node.args[0]
-        site = _string_or_none(arg)
-        ref = arg.id if isinstance(arg, ast.Name) else None
-        if site is None and ref is None:
-            continue
-        facts["hook_calls"].append(
-            [func.attr, site or "", ref or "", node.lineno, node.col_offset]
-        )
-
-    # -- per-function global reads / mutations / local call edges ----------
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        params = {a.arg for a in node.args.args + node.args.kwonlyargs}
-        if node.args.vararg is not None:
-            params.add(node.args.vararg.arg)
-        if node.args.kwarg is not None:
-            params.add(node.args.kwarg.arg)
-        flow = _FunctionFacts(params)
-        for stmt in node.body:
-            flow.visit(stmt)
-        facts["functions"].setdefault(
-            node.name,
-            {
-                "lineno": node.lineno,
-                "reads": sorted(flow.reads),
-                "mutates": sorted(flow.mutates),
-                "calls": sorted(flow.calls),
-                "nested": sorted(flow.nested_defs),
-            },
-        )
-
-    _extract_executor_facts(tree, facts)
     return facts
-
-
-def _extract_executor_facts(tree: ast.Module, facts: dict) -> None:
-    """Executor submissions: ``<executor>.map`` / ``.map_tasks`` calls
-    (``map_tasks`` applies its func to whole items, exactly like ``map``)."""
-    executor_names: set[str] = set(_EXECUTOR_NAMES)
-    for node in ast.walk(tree):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            if _contains_call_to(node.value, _EXECUTOR_TYPES):
-                targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if _contains_call_to(node.value, _EXECUTOR_TYPES):
-                targets = [node.target]
-        elif isinstance(node, ast.withitem):
-            if node.optional_vars is not None and _contains_call_to(
-                node.context_expr, _EXECUTOR_TYPES
-            ):
-                targets = [node.optional_vars]
-        for target in targets:
-            if isinstance(target, ast.Name):
-                executor_names.add(target.id)
-            elif isinstance(target, ast.Attribute):
-                executor_names.add(target.attr)
-
-    #: function name -> lineno of its enclosing def, for nested detection
-    nesting: dict[str, bool] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for child in ast.walk(node):
-                if (
-                    child is not node
-                    and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ):
-                    nesting[child.name] = True
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr not in (
-            "map", "map_tasks"
-        ):
-            continue
-        receiver = func.value
-        receiver_name = receiver.id if isinstance(receiver, ast.Name) else (
-            receiver.attr if isinstance(receiver, ast.Attribute) else None
-        )
-        if receiver_name not in executor_names:
-            continue
-        submitted = node.args[0]
-        entry = {
-            "lineno": node.lineno,
-            "col": node.col_offset,
-            "func": "",
-            "kind": "unknown",
-            "initializer": "",
-        }
-        if isinstance(submitted, ast.Lambda):
-            entry["kind"] = "lambda"
-        elif isinstance(submitted, ast.Name):
-            entry["func"] = submitted.id
-            entry["kind"] = "nested" if nesting.get(submitted.id) else "name"
-        for kw in node.keywords:
-            if kw.arg == "initializer" and isinstance(kw.value, ast.Name):
-                entry["initializer"] = kw.value.id
-        facts["map_calls"].append(entry)
 
 
 @dataclass
@@ -590,38 +336,3 @@ class ProjectIndex:
             if nested is not None:
                 values.append(nested)
         return values
-
-    # -- worker-function closure -------------------------------------------
-
-    def function_closure(self, module: str, func: str) -> tuple[set[str], set[str]]:
-        """``(reads, mutates)`` of *func* plus its same-module callees."""
-        summary = self.by_module.get(module)
-        if summary is None:
-            return set(), set()
-        functions = summary.facts.get("functions", {})
-        reads: set[str] = set()
-        mutates: set[str] = set()
-        pending = [func]
-        seen: set[str] = set()
-        while pending:
-            name = pending.pop()
-            if name in seen or name not in functions:
-                continue
-            seen.add(name)
-            info = functions[name]
-            reads.update(info.get("reads", ()))
-            mutates.update(info.get("mutates", ()))
-            pending.extend(info.get("calls", ()))
-        return reads, mutates
-
-    def module_mutated_globals(self, module: str) -> dict[str, list[str]]:
-        """``{global: [mutating functions]}`` for one module."""
-        summary = self.by_module.get(module)
-        if summary is None:
-            return {}
-        out: dict[str, list[str]] = {}
-        functions = summary.facts.get("functions", {})
-        for name in sorted(functions):
-            for target in functions[name].get("mutates", ()):
-                out.setdefault(target, []).append(name)
-        return out

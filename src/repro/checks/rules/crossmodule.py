@@ -1,6 +1,6 @@
-"""Cross-module contract rules: lineage, fork-safety, cycles.
+"""Cross-module contract rules: lineage and cycles.
 
-All six rules run against the :class:`~repro.checks.project.ProjectIndex`
+All four rules run against the :class:`~repro.checks.project.ProjectIndex`
 facts, so they see the whole program at once and cost nothing extra on a
 warm incremental run:
 
@@ -12,13 +12,6 @@ warm incremental run:
   activate when the analyzed file set contains schema declarations
   (``AttributeSpec``/``_num``/``_cat``/``_txt``), so single-file corpora
   without a schema are exempt.
-* **PAR001/PAR002** — the fork-safety contract of ``ParallelMap``.
-  Work crosses the process boundary by pickling; lambdas and nested
-  functions do not pickle, and module globals are *copied* at fork — a
-  worker reading a parent-mutated global sees a stale copy (PAR001) and
-  a worker writing one mutates a copy that is thrown away (PAR002).
-  The sanctioned pattern — an ``initializer=`` callback populating a
-  module global per worker — is recognized and exempt.
 * **IMP001** — import acyclicity among the analyzed modules.  A cycle
   makes import order load-bearing and breaks partial re-use of the
   pipeline's layers; function-scope (lazy) imports are deliberately not
@@ -38,8 +31,6 @@ __all__ = [
     "ColumnReadWithoutProducer",
     "ColumnDeadWrite",
     "SpecReferencesUnknownColumn",
-    "UnpicklableOrStaleCapture",
-    "WorkerSideMutation",
     "ImportCycle",
 ]
 
@@ -123,7 +114,6 @@ class ColumnDeadWrite(_LineageRule):
         "dead weight in every downstream copy/cache and usually marks an "
         "abandoned feature or a renamed consumer"
     )
-    severity = "warning"  # latent waste, not incorrect output
 
     def check_index(self, index: "ProjectIndex") -> Iterator[Finding]:
         """Every produced (non-schema) name must have a consuming site."""
@@ -168,98 +158,6 @@ class SpecReferencesUnknownColumn(_LineageRule):
                     f"spec references column '{name}' which is absent from "
                     "the declared schema and produced by no stage",
                 )
-
-
-@register
-class UnpicklableOrStaleCapture(Rule):
-    """PAR001 — a submitted callable won't pickle or sees stale globals."""
-
-    code = "PAR001"
-    name = "unpicklable-or-stale-capture"
-    rationale = (
-        "process pools pickle the callable and fork module state: "
-        "lambdas/nested functions fail to pickle, and a worker reading a "
-        "parent-mutated module global sees a stale fork-time copy unless "
-        "the state arrives via initializer/initargs"
-    )
-
-    def check_index(self, index: "ProjectIndex") -> Iterator[Finding]:
-        """Audit every executor ``.map`` submission in the file set."""
-        for summary in index.summaries:
-            mutated = index.module_mutated_globals(summary.module)
-            for call in summary.facts.get("map_calls", ()):
-                lineno, col = call["lineno"], call["col"]
-                if call["kind"] == "lambda":
-                    yield Finding(
-                        summary.display, lineno, col, self.code,
-                        "lambda submitted to a process-pool map is not "
-                        "picklable; define a module-level function",
-                    )
-                    continue
-                if call["kind"] == "nested":
-                    yield Finding(
-                        summary.display, lineno, col, self.code,
-                        f"nested function '{call['func']}' submitted to a "
-                        "process-pool map is not picklable; move it to "
-                        "module level",
-                    )
-                    continue
-                if call["kind"] != "name":
-                    continue
-                reads, worker_mutates = index.function_closure(
-                    summary.module, call["func"]
-                )
-                init_mutates: set[str] = set()
-                if call["initializer"]:
-                    __, init_mutates = index.function_closure(
-                        summary.module, call["initializer"]
-                    )
-                for name in sorted(reads):
-                    if name not in mutated:
-                        continue
-                    if name in init_mutates or name in worker_mutates:
-                        continue  # initializer-fed (sanctioned) or PAR002's
-                    yield Finding(
-                        summary.display, lineno, col, self.code,
-                        f"worker '{call['func']}' reads module global "
-                        f"'{name}' which {'/'.join(mutated[name])} mutates; "
-                        "workers fork a stale copy — pass the state via "
-                        "initializer/initargs instead",
-                    )
-
-
-@register
-class WorkerSideMutation(Rule):
-    """PAR002 — a worker mutates module state that dies with the worker."""
-
-    code = "PAR002"
-    name = "worker-side-mutation"
-    rationale = (
-        "a worker-side write to a module global mutates the worker "
-        "process's copy only; the parent never sees it, so the write is "
-        "either dead or a latent correctness bug — return values instead"
-    )
-
-    def check_index(self, index: "ProjectIndex") -> Iterator[Finding]:
-        """Flag module-global mutations reachable from submitted workers."""
-        for summary in index.summaries:
-            symbols = summary.facts.get("symbols", {})
-            for call in summary.facts.get("map_calls", ()):
-                if call["kind"] != "name":
-                    continue
-                __, worker_mutates = index.function_closure(
-                    summary.module, call["func"]
-                )
-                for name in sorted(worker_mutates):
-                    if name not in symbols:
-                        continue  # not a module-level binding of this file
-                    yield Finding(
-                        summary.display, call["lineno"], call["col"], self.code,
-                        f"worker '{call['func']}' mutates module global "
-                        f"'{name}'; the write happens in the worker "
-                        "process's copy and is lost — return the value to "
-                        "the parent instead",
-                    )
 
 
 @register

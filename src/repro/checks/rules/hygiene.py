@@ -20,11 +20,18 @@ from typing import Iterator
 
 from ..imports import ImportTable
 from ..model import Finding, Rule, SourceFile, register
-from ..project import MUTATOR_METHODS
 
 __all__ = ["BroadExcept", "MutableDefault", "FloatEquality", "InconsistentGuard"]
 
 _BROAD_NAMES = frozenset({"Exception", "BaseException"})
+
+#: Container methods that mutate their receiver in place.
+_MUTATOR_METHODS = frozenset(
+    {
+        "append", "extend", "insert", "add", "update", "setdefault",
+        "pop", "popitem", "remove", "discard", "clear", "appendleft",
+    }
+)
 
 
 def _is_broad(handler: ast.ExceptHandler) -> bool:
@@ -221,7 +228,7 @@ def _writes(stmts, locks: set[str], held: bool):
             isinstance(stmt, ast.Expr)
             and isinstance(stmt.value, ast.Call)
             and isinstance(stmt.value.func, ast.Attribute)
-            and stmt.value.func.attr in MUTATOR_METHODS
+            and stmt.value.func.attr in _MUTATOR_METHODS
         ):
             targets = [stmt.value.func.value]
         for target in targets:

@@ -29,6 +29,7 @@ from .dataset import (
     generate_epc_collection,
     write_csv,
 )
+from .dataset.synthetic import shard_scheme
 from .faults import FaultInjector, FaultPlan
 
 __all__ = ["main", "build_parser"]
@@ -54,6 +55,23 @@ def _int_in(low: int, high: int | None = None):
 _count = _int_in(1)
 _seed = _int_in(0)  # numpy's SeedSequence takes non-negative integers only
 _port = _int_in(0, 65535)
+
+
+def _usage(parse):
+    """An argparse ``type`` running *parse*, whose :class:`ValueError` or
+    :class:`OSError` is a usage error (exit 2) before any work runs."""
+
+    def type_(text: str):
+        try:
+            return parse(text)
+        except (ValueError, OSError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return type_
+
+
+_fault_plan = _usage(FaultPlan.load)
+_shards = _usage(shard_scheme)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--auto-config", action="store_true",
                      help="let the advisor pick the analysis configuration")
     run.add_argument(
-        "--shards", default=None, metavar="SCHEME",
+        "--shards", type=_shards, default=None, metavar="SCHEME",
         help="run the pipeline sharded with out-of-core merge: "
              "'by-district', 'by-zip' or a shard count; results are "
              "bit-identical to the unsharded run, peak memory is "
@@ -125,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     # every argument after `check` is handed to repro.checks verbatim
     sub.add_parser(
         "check", add_help=False,
-        help="run the repro.checks project analyzer (determinism/cache/"
-             "fault/lineage contracts); takes `python -m repro.checks` "
-             "arguments",
+        help="run the repro.checks project analyzer (determinism, "
+             "failure-handling, lineage, import and lock contracts); takes "
+             "`python -m repro.checks` arguments",
     )
     return parser
 
@@ -140,7 +158,7 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
         flag, kwargs = spec.metadata["cli"]
         parser.add_argument(flag, dest=spec.name, default=spec.default, **kwargs)
     parser.add_argument(
-        "--fault-plan", default=None, metavar="SPEC",
+        "--fault-plan", type=_fault_plan, default=None, metavar="SPEC",
         help="inject deterministic faults for resilience testing: a spec "
              "string like 'geocoder.request:transient@0.3;seed=7' "
              "(site:kind[@rate][*times][+after], ';'-separated) or "
@@ -151,9 +169,7 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _make_injector(args: argparse.Namespace) -> FaultInjector | None:
     """The fault injector requested by ``--fault-plan``, if any."""
-    if not getattr(args, "fault_plan", None):
-        return None
-    return FaultInjector(FaultPlan.load(args.fault_plan))
+    return None if args.fault_plan is None else FaultInjector(args.fault_plan)
 
 
 def _apply_perf_arguments(config: IndiceConfig, args: argparse.Namespace) -> IndiceConfig:

@@ -50,6 +50,7 @@ __all__ = [
     "generate_epc_shard",
     "merge_epc_collections",
     "plan_generation_shards",
+    "shard_scheme",
     "shard_seed_sequence",
 ]
 
@@ -1022,6 +1023,30 @@ def _pool_indices(street_map: StreetMap, pool: str | None) -> np.ndarray | None:
     return np.asarray(match, dtype=np.intp)
 
 
+#: The named shard schemes: one shard per Turin district or per ZIP code.
+_SHARD_SCHEMES = ("by-district", "district", "by-zip", "zip")
+
+
+def shard_scheme(by: str | int) -> str | int:
+    """The shard count (an ``int >= 1``) or named scheme *by* spells.
+
+    The one parser of a shard scheme, for the sharded generator, the
+    partition of an in-memory collection and ``repro run --shards``;
+    anything else raises :class:`ValueError`.
+    """
+    if isinstance(by, int) or by.isdigit():
+        count = int(by)
+        if count < 1:
+            raise ValueError(f"shard count must be >= 1, got {count}")
+        return count
+    if by not in _SHARD_SCHEMES:
+        raise ValueError(
+            f"unknown shard scheme {by!r}; use 'by-district', 'by-zip' "
+            "or a shard count"
+        )
+    return by
+
+
 def plan_generation_shards(
     config: SyntheticConfig | None, by: str | int
 ) -> tuple[ShardRecipe, ...]:
@@ -1042,10 +1067,9 @@ def plan_generation_shards(
     cfg = config or SyntheticConfig()
     n_turin = int(round(cfg.n_certificates * cfg.turin_share))
     n_other = cfg.n_certificates - n_turin
-    if isinstance(by, int) or (isinstance(by, str) and by.isdigit()):
-        count = int(by)
-        if count < 1:
-            raise ValueError(f"shard count must be >= 1, got {count}")
+    by = shard_scheme(by)
+    if isinstance(by, int):
+        count = by
         turin_sizes = _apportion(n_turin, [1.0] * count)
         other_sizes = _apportion(n_other, [1.0] * count)
         return tuple(
@@ -1061,13 +1085,9 @@ def plan_generation_shards(
         keys = list(
             dict.fromkeys(r.district for r in street_map.records)
         )
-    elif by in ("by-zip", "zip"):
+    else:
         field_name = "zip"
         keys = sorted(dict.fromkeys(r.zip_code for r in street_map.records))
-    else:
-        raise ValueError(
-            f"unknown shard scheme {by!r}; use 'by-district', 'by-zip' or a count"
-        )
     counts: dict[str, int] = {key: 0 for key in keys}
     for record in street_map.records:
         value = getattr(record, "district" if field_name == "district" else "zip_code")

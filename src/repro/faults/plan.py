@@ -218,7 +218,12 @@ class FaultPlan:
             if not part:
                 continue
             if part.startswith("seed="):
-                seed = int(part[len("seed="):])
+                try:
+                    seed = int(part[len("seed="):])
+                except ValueError:
+                    raise ValueError(
+                        f"bad fault plan seed {part!r} (expected seed=N)"
+                    ) from None
             else:
                 specs.append(FaultSpec.parse(part))
         return cls(faults=tuple(specs), seed=seed)
@@ -253,21 +258,29 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        """Parse the JSON document written by :meth:`to_json`."""
+        """Parse the JSON document written by :meth:`to_json`; a document
+        of another shape raises :class:`ValueError`."""
         payload = json.loads(text)
-        return cls(
-            faults=tuple(
-                FaultSpec(
-                    site=f["site"],
-                    kind=FaultKind(f["kind"]),
-                    rate=f.get("rate", 1.0),
-                    times=f.get("times"),
-                    after=f.get("after", 0),
-                )
-                for f in payload.get("faults", ())
-            ),
-            seed=payload.get("seed", 0),
-        )
+        try:
+            return cls(
+                faults=tuple(
+                    FaultSpec(
+                        site=f["site"],
+                        kind=FaultKind(f["kind"]),
+                        rate=f.get("rate", 1.0),
+                        times=f.get("times"),
+                        after=f.get("after", 0),
+                    )
+                    for f in payload.get("faults", ())
+                ),
+                seed=payload.get("seed", 0),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"malformed fault plan JSON ({type(exc).__name__}: {exc}); "
+                "expected {\"seed\": N, \"faults\": [{\"site\": ..., "
+                "\"kind\": ...}, ...]}"
+            ) from None
 
 
 def _spec_seed(plan_seed: int, index: int, spec: FaultSpec) -> int:
@@ -332,10 +345,17 @@ class FaultInjector:
 
         When several rules watch the same site, the first (in plan order)
         that fires wins, but every rule's arrival counter still advances —
-        so adding a rule never changes *when* an existing rule fires.
+        so adding a rule never changes *when* an existing rule fires.  A
+        *site* outside :data:`KNOWN_SITES` raises :class:`ValueError`: no
+        plan could ever reach it.
         """
         states = self._by_site.get(site)
         if not states:
+            if site not in KNOWN_SITES:
+                raise ValueError(
+                    f"unknown fault site {site!r} (valid sites: "
+                    f"{', '.join(KNOWN_SITES)})"
+                )
             return None
         fired: FaultKind | None = None
         for state in states:
@@ -351,6 +371,7 @@ class FaultInjector:
         Only meaningful for kinds that map to an exception (``transient``,
         ``io_error``, ``crash``); data-shaping kinds (``corrupt``,
         ``truncate``) must be handled by the call site via :meth:`arrive`.
+        An unknown *site* raises :class:`ValueError`, as in :meth:`arrive`.
         """
         kind = self.arrive(site)
         if kind is None:

@@ -1,20 +1,32 @@
 """A chunked process-pool executor with a serial fallback.
 
 :class:`ParallelMap` is the one place in the codebase that decides *how* a
-row-wise computation is spread across cores.  Callers hand it a picklable
-per-item function plus an optional worker initializer (for expensive
-per-worker state such as a gazetteer index, built once per process instead
-of once per item), and get the results back in input order.
+row-wise computation is spread across cores.  Callers hand it a
+module-level function ``func(state, item)`` plus, optionally, a
+module-level ``setup(*args)`` that builds expensive per-worker state (such
+as a gazetteer index: once per process instead of once per item), and get
+the results back in input order.
 
 Design points:
 
+* **owned worker state** — the map builds ``setup(*args)`` once per pool
+  worker into this module's one private slot, or once as a local on the
+  serial path, and passes it to every call of *func*; without *setup*
+  the state is *args* itself.  No caller keeps module globals for its
+  workers, so none can read a stale fork-time copy or write one that
+  dies with its worker;
+* **module-level callables only** — a lambda or a function defined
+  inside another one does not pickle, so *func* and *setup* must be
+  module-level (looking through :func:`functools.partial`).  Both paths
+  raise :class:`TypeError` otherwise, so a map that works serially
+  cannot fail on a pool;
 * **chunked sharding** — items are split into contiguous chunks so the
   pickling overhead is paid per chunk, not per item, and the output order
   is trivially the input order;
 * **serial fallback** — with ``n_jobs <= 1`` or fewer items than
-  ``min_parallel_items`` the map runs inline (after calling the
-  initializer locally), so small inputs never pay process start-up costs
-  and single-job configurations stay exactly as debuggable as before;
+  ``min_parallel_items`` the map runs inline, so small inputs never pay
+  process start-up costs and single-job configurations stay exactly as
+  debuggable as before;
 * **crash resilience** — a worker process dying (a broken pool, or an
   injected :class:`~repro.faults.plan.WorkerCrashError`) does not fail the
   map: the whole input is recomputed serially and the degradation is
@@ -32,12 +44,13 @@ Design points:
   inline, because a pool round-trip costs tens of milliseconds;
 * **coarse tasks** — :meth:`ParallelMap.map_tasks` runs a handful of
   expensive independent units (a shard transform, one K of the elbow
-  sweep) one per chunk, through the same pool routine, so both maps
-  share one fallback, one fault site and one fork-safety check.
+  sweep) one per chunk, through the same dispatch, so both maps share
+  one state slot, one fallback and one fault site.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -62,8 +75,41 @@ _CHUNKS_PER_JOB = 4
 _INJECTED_STRAGGLER_S = 0.05
 
 
-def _run_chunk(payload: tuple[Callable[[Any], Any], list, str | None]) -> list:
-    """Apply ``func`` to every item of one chunk (runs inside a worker).
+#: The per-worker state of the pool this process serves, built once by
+#: :func:`_install_state`.  Only pool workers set it: the parent's serial
+#: path keeps its state in a local.
+_WORKER_STATE: Any = None
+
+
+def _build_state(setup: Callable[..., Any] | None, args: tuple) -> Any:
+    """``setup(*args)``, or *args* itself when there is no *setup*."""
+    return args if setup is None else setup(*args)
+
+
+def _install_state(setup: Callable[..., Any] | None, args: tuple) -> None:
+    """Build this worker's state once (the pool's initializer)."""
+    global _WORKER_STATE
+    _WORKER_STATE = _build_state(setup, args)
+
+
+def _require_module_level(func: Callable[..., Any]) -> None:
+    """Raise :class:`TypeError` unless *func* (through any
+    :func:`functools.partial`) pickles by reference: a lambda or a
+    ``<locals>`` function fails on a pool, so it fails on both paths."""
+    target = func
+    while isinstance(target, functools.partial):
+        target = target.func
+    qualname = getattr(target, "__qualname__", "")
+    if "<lambda>" in qualname or "<locals>" in qualname:
+        raise TypeError(
+            f"{qualname} cannot cross a process boundary; pass a "
+            "module-level function to ParallelMap"
+        )
+
+
+def _run_chunk(payload: tuple[Callable[[Any, Any], Any], list, str | None]) -> list:
+    """Apply ``func(state, item)`` to every item of one chunk (runs inside
+    a worker, whose state :func:`_install_state` built).
 
     *fault* is the injected behaviour decided (deterministically) in the
     parent before dispatch: ``"crash"`` kills the chunk, ``"delay"`` makes
@@ -75,7 +121,7 @@ def _run_chunk(payload: tuple[Callable[[Any], Any], list, str | None]) -> list:
         raise WorkerCrashError("injected worker crash")
     if fault == "delay":
         time.sleep(_INJECTED_STRAGGLER_S)
-    return [func(item) for item in chunk]
+    return [func(_WORKER_STATE, item) for item in chunk]
 
 
 def feature_matrix(table: Table, names: Sequence[str]) -> np.ndarray:
@@ -152,55 +198,55 @@ class ParallelMap:
             return "delay"
         return None
 
-    def _fall_back(self, exc: BaseException) -> None:
-        """Count one pool failure; the caller recomputes inline."""
-        self.fallbacks += 1
-        self.last_fallback_reason = f"{type(exc).__name__}: {exc}"
-
-    def _run_pool(
+    def _dispatch(
         self,
-        worker: Callable[[Any], list],
-        payloads: list,
-        initializer: Callable[..., None] | None,
-        initargs: tuple,
-    ) -> list | None:
-        """``[worker(p) for p in payloads]`` on a fresh pool, in order.
+        func: Callable[[Any, Any], Any],
+        items: list,
+        chunks: list[list] | None,
+        setup: Callable[..., Any] | None,
+        args: tuple,
+    ) -> list:
+        """``[func(state, x) for x in items]``: on a fresh pool, one
+        payload per chunk, or inline when there are no *chunks*.
 
         The one place a pool is started.  A broken pool or an injected
-        crash returns ``None`` after counting the fallback, so every map
-        recomputes the same way: inline and bit-identical.
+        crash counts the fallback and recomputes inline, so every map
+        degrades the same way: bit-identically.
         """
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.resolve_jobs(), len(payloads)),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                return list(pool.map(worker, payloads))
-        except (WorkerCrashError, BrokenProcessPool, OSError) as exc:
-            self._fall_back(exc)
-            return None
-
-    @staticmethod
-    def _serial(func, items: list, initializer, initargs) -> list:
-        """The inline path: the initializer once, then every item."""
-        if initializer is not None:
-            initializer(*initargs)
-        return [func(item) for item in items]
+        _require_module_level(func)
+        if setup is not None:
+            _require_module_level(setup)
+        if chunks:
+            payloads = [(func, chunk, self._chunk_fault()) for chunk in chunks]
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=min(self.resolve_jobs(), len(payloads)),
+                    initializer=_install_state,
+                    initargs=(setup, args),
+                ) as pool:
+                    results = list(pool.map(_run_chunk, payloads))
+                return [item for chunk in results for item in chunk]
+            except (WorkerCrashError, BrokenProcessPool, OSError) as exc:
+                self.fallbacks += 1
+                self.last_fallback_reason = f"{type(exc).__name__}: {exc}"
+        state = _build_state(setup, args)
+        return [func(state, item) for item in items]
 
     def map(
         self,
-        func: Callable[[Any], Any],
+        func: Callable[[Any, Any], Any],
         items: Iterable[Any],
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
+        setup: Callable[..., Any] | None = None,
+        args: tuple = (),
     ) -> list:
-        """``[func(x) for x in items]``, possibly across worker processes.
+        """``[func(state, x) for x in items]``, possibly across worker processes.
 
-        *func* (and every item) must be picklable when the parallel path
-        is taken; *initializer* runs once per worker before any chunk (and
-        once inline on the serial path), so it is the place to build
-        expensive shared state.  Results always come back in input order.
+        *state* is ``setup(*args)``, built once per worker (and once
+        inline on the serial path), or *args* itself without *setup*: the
+        place for expensive shared state.  *func* and *setup* must be
+        module-level functions (:class:`TypeError` otherwise), and *args*
+        and every item picklable when the parallel path is taken.
+        Results always come back in input order.
 
         If the pool itself fails — a worker process dies, the pool breaks —
         the whole map is recomputed serially (bit-identical results) and
@@ -208,38 +254,30 @@ class ParallelMap:
         degradation.  Exceptions raised by *func* propagate unchanged.
         """
         items = list(items)
-        if not items or not self.should_parallelize(len(items)):
-            return self._serial(func, items, initializer, initargs)
-        payloads = [
-            (func, chunk, self._chunk_fault()) for chunk in self.shard(items)
-        ]
-        results = self._run_pool(_run_chunk, payloads, initializer, initargs)
-        if results is None:
-            return self._serial(func, items, initializer, initargs)
-        return [item for chunk in results for item in chunk]
+        chunks = self.shard(items) if self.should_parallelize(len(items)) else None
+        return self._dispatch(func, items, chunks, setup, args)
 
     def map_tasks(
         self,
-        func: Callable[[Any], Any],
+        func: Callable[[Any, Any], Any],
         tasks: Iterable[Any],
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
+        setup: Callable[..., Any] | None = None,
+        args: tuple = (),
     ) -> list:
-        """``[func(t) for t in tasks]`` with one coarse task per chunk.
+        """``[func(state, t) for t in tasks]`` with one coarse task per chunk.
 
         For a few expensive, independent units (a shard transform, one K
         of the elbow sweep) rather than many cheap rows: the map goes
         parallel whenever there are two workers and two tasks, ignoring
         ``min_parallel_items``, and never batches tasks into a chunk, so
-        the pool balances them in dispatch order — put the longest first.
-        Serial path, crash fallback, fault site and ordering are those of
-        :meth:`map`: each task is one ``parallel.worker`` arrival.
+        the pool balances them in dispatch order.  State, serial path,
+        crash fallback, fault site and ordering are those of :meth:`map`:
+        each task is one ``parallel.worker`` arrival.
         """
         tasks = list(tasks)
-        if not self.should_parallelize_tasks(len(tasks)):
-            return self._serial(func, tasks, initializer, initargs)
-        payloads = [(func, [task], self._chunk_fault()) for task in tasks]
-        results = self._run_pool(_run_chunk, payloads, initializer, initargs)
-        if results is None:
-            return self._serial(func, tasks, initializer, initargs)
-        return [result for (result,) in results]
+        chunks = (
+            [[task] for task in tasks]
+            if self.should_parallelize_tasks(len(tasks))
+            else None
+        )
+        return self._dispatch(func, tasks, chunks, setup, args)

@@ -71,6 +71,7 @@ from ..dataset.synthetic import (
     generate_epc_shard,
     generate_street_map,
     plan_generation_shards,
+    shard_scheme,
     shard_seed_sequence,
 )
 from ..dataset.table import Column, ColumnKind, Table
@@ -256,8 +257,9 @@ class ShardPlan:
         """
         table = collection.table
         n = table.n_rows
-        if isinstance(by, int) or (isinstance(by, str) and by.isdigit()):
-            count = max(1, int(by))
+        by = shard_scheme(by)
+        if isinstance(by, int):
+            count = by
             bounds = [round(i * n / count) for i in range(count + 1)]
             specs = tuple(
                 ShardSpec(
@@ -269,15 +271,7 @@ class ShardPlan:
                 for i in range(count)
             )
             return cls(collection, specs, str(count), columns=columns)
-        if by in ("by-district", "district"):
-            column = "district"
-        elif by in ("by-zip", "zip"):
-            column = "zip_code"
-        else:
-            raise ValueError(
-                f"unknown shard scheme {by!r}; use 'by-district', 'by-zip' "
-                "or a shard count"
-            )
+        column = "district" if by in ("by-district", "district") else "zip_code"
         groups = table.group_indices(column)
         keys = sorted((k for k in groups if k is not None), key=str)
         specs = []
@@ -397,27 +391,16 @@ class _ShardResult:
     table: Table | None = None
 
 
-#: ``(plan, config, injector, cleaning executor, spill dir)`` of the
-#: transform tasks this process runs; set by :func:`_init_transform_worker`
-#: once per pool worker (or once inline) and cleared by the parent after.
-_TRANSFORM_STATE: tuple | None = None
-
-
-def _init_transform_worker(state: tuple | None) -> None:
-    """Install the shared transform state (the pool's initializer)."""
-    global _TRANSFORM_STATE
-    _TRANSFORM_STATE = state
-
-
-def _transform_shard(task: _ShardTask) -> _ShardResult:
+def _transform_shard(state: tuple, task: _ShardTask) -> _ShardResult:
     """Extract, profile, clean and spill one shard (a pool worker, or inline).
 
-    With no spill dir (the one-shard plan) the cleaned rows come back in
-    the result instead.  Logs nothing and touches no cache: the parent
-    replays the returned provenance steps and writes the cache entry, in
-    shard order.
+    *state* is ``(plan, config, injector, cleaning executor, spill dir)``,
+    shared by every transform task of one run.  With no spill dir (the
+    one-shard plan) the cleaned rows come back in the result instead.
+    Logs nothing and touches no cache: the parent replays the returned
+    provenance steps and writes the cache entry, in shard order.
     """
-    plan, config, injector, executor, spill_dir = _TRANSFORM_STATE
+    plan, config, injector, executor, spill_dir = state
     started = time.perf_counter()
     spec = task.spec
     index = plan.collection.street_map.match_index()
@@ -587,14 +570,8 @@ class ShardRunner:
             executor, cleaner = ParallelMap(), engine.executor
             watch = contextlib.nullcontext()
         state = (self.plan, engine.config, engine.injector, cleaner, self.spill_dir)
-        try:
-            with watch:
-                return executor.map_tasks(
-                    _transform_shard, tasks,
-                    initializer=_init_transform_worker, initargs=(state,),
-                )
-        finally:
-            _init_transform_worker(None)  # drop the parent's reference
+        with watch:
+            return executor.map_tasks(_transform_shard, tasks, args=state)
 
     # -- merge-side reads --------------------------------------------------
 

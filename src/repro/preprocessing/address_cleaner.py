@@ -257,8 +257,8 @@ class AddressCleaner:
         is embarrassingly parallel: resolution touches only the immutable
         gazetteer index, never the geocoder or its quota.  Distinct values
         are sharded across the executor; each worker process builds the
-        gazetteer index once (in its initializer) and reuses it for every
-        address it receives.  The serial path resolves inline against the
+        gazetteer index once (:func:`_resolver_state`, the map's setup)
+        and reuses it for every address it receives.  The serial path resolves inline against the
         index cached on the street map; both go through :func:`_resolve`,
         so they return identical mappings.
         """
@@ -267,8 +267,8 @@ class AddressCleaner:
             resolutions = self.executor.map(
                 _resolve_one_worker,
                 distinct,
-                initializer=_init_resolver_worker,
-                initargs=(self._streets, self.config.phi),
+                setup=_resolver_state,
+                args=(self._streets, self.config.phi),
             )
         else:
             resolutions = [self.resolve_street(raw) for raw in distinct]
@@ -533,20 +533,17 @@ def _resolve(
 
 
 # -- worker-process resolution ------------------------------------------------
-#
-# Per-worker state for the parallel resolution path: each process builds the
-# gazetteer index once (initializer) and reuses it for every sharded address.
-
-_WORKER_STATE: tuple[list[str], set[str], GazetteerIndex, float] | None = None
 
 
-def _init_resolver_worker(streets: list[str], phi: float) -> None:
-    """Build the per-process gazetteer index (ProcessPool initializer)."""
-    global _WORKER_STATE
-    _WORKER_STATE = (streets, set(streets), GazetteerIndex(streets), phi)
+def _resolver_state(
+    streets: list[str], phi: float
+) -> tuple[list[str], set[str], GazetteerIndex, float]:
+    """The per-worker gazetteer index (the setup of the parallel map)."""
+    return streets, set(streets), GazetteerIndex(streets), phi
 
 
-def _resolve_one_worker(raw: str) -> tuple[str | None, MatchStatus, float]:
+def _resolve_one_worker(
+    state: tuple[list[str], set[str], GazetteerIndex, float], raw: str
+) -> tuple[str | None, MatchStatus, float]:
     """Resolve one raw address against the worker's gazetteer index."""
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    return _resolve(*_WORKER_STATE, raw)
+    return _resolve(*state, raw)

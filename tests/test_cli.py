@@ -74,6 +74,48 @@ class TestParser:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--fault-plan", "geocoder.requst:transient", "unknown fault site"),
+            ("--fault-plan", "seed=x", "bad fault plan seed"),
+            ("--fault-plan", "cache.read:corrupt@2", "rate must be in [0, 1]"),
+            ("--fault-plan", "@/nonexistent.json", "No such file"),
+            ("--shards", "bogus", "unknown shard scheme"),
+            ("--shards", "0", "shard count must be >= 1"),
+        ],
+    )
+    def test_malformed_plans_are_usage_errors_before_any_work(
+        self, flag, value, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a malformed flag must stop the run first")
+
+        monkeypatch.setattr("repro.cli._make_collection", no_work)
+        monkeypatch.setattr("repro.perf.shards.ShardPlan.from_generator", no_work)
+        out = tmp_path / "x.html"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(out), "--certificates", "200", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith(f"repro run: error: argument {flag}: ")
+        assert message in last
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_plans_are_parsed_once_by_the_parser(self):
+        from repro.faults import FaultPlan
+
+        args = build_parser().parse_args(
+            ["run", "d.html", "--shards", "3",
+             "--fault-plan", "cache.read:corrupt*1;seed=4"]
+        )
+        assert args.shards == 3
+        assert args.fault_plan == FaultPlan.parse("cache.read:corrupt*1;seed=4")
+        args = build_parser().parse_args(["run", "d.html", "--shards", "by-zip"])
+        assert args.shards == "by-zip" and args.fault_plan is None
+
     def test_integer_bounds_are_inclusive(self):
         assert build_parser().parse_args(["run", "d.html", "--seed", "0"]).seed == 0
         for port in (0, 65535):

@@ -8,6 +8,7 @@ actually exist.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,15 @@ def test_star_import_is_safe(package):
     namespace = {}
     exec(f"from {package} import *", namespace)  # noqa: S102 (test-only)
     assert namespace
+
+
+def test_readme_rule_table_lists_exactly_the_registered_rules():
+    """A deleted rule cannot linger in README's "Static analysis" table,
+    nor a new one ship undocumented."""
+    from repro.checks.model import all_rules
+
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Static analysis\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([A-Z]+\d+)` \|", section, flags=re.MULTILINE)
+    assert len(documented) == len(set(documented)), "a rule is listed twice"
+    assert sorted(documented) == sorted(rule.code for rule in all_rules())

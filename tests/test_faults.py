@@ -34,6 +34,7 @@ from repro.faults import (
     retry_with_backoff,
 )
 from repro.perf import ParallelMap, StageCache
+from repro.serving.store import ArtifactStore
 from repro.preprocessing.address_cleaner import (
     AddressCleaner,
     CleaningConfig,
@@ -89,6 +90,15 @@ class TestFaultPlan:
         path.write_text(plan.to_json(), encoding="utf-8")
         assert FaultPlan.load(f"@{path}") == plan
         assert FaultPlan.load("dataset.read:io_error*1") == plan
+
+    @pytest.mark.parametrize(
+        "document",
+        ['[]', '{"faults": [{"kind": "transient"}]}', '{"faults": 3}',
+         '{"faults": [{"site": "cache.read", "kind": "corrupt", "rate": "x"}]}'],
+    )
+    def test_malformed_json_plan_is_a_value_error(self, document):
+        with pytest.raises(ValueError):
+            FaultPlan.from_json(document)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -153,6 +163,15 @@ class TestFaultInjector:
         assert inj.arrive(GEOCODER_REQUEST) is None
         assert inj.events == []
 
+    def test_unknown_site_raises(self):
+        # a hook at a typo'd site is an injection point no plan can reach
+        inj = FaultInjector(FaultPlan.parse("cache.read:corrupt"))
+        with pytest.raises(ValueError, match="unknown fault site 'cache.reed'"):
+            inj.arrive("cache.reed")
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultInjector().fire("dataset.raed")
+        assert inj.events == []
+
     def test_fire_raises_mapped_exceptions(self):
         inj = FaultInjector(FaultPlan.parse("dataset.read:io_error"))
         with pytest.raises(InjectedIOError):
@@ -167,6 +186,81 @@ class TestFaultInjector:
         assert len(FaultInjector.mangle(data, FaultKind.TRUNCATE)) < len(data)
         with pytest.raises(Exception):
             pickle.loads(FaultInjector.mangle(data, FaultKind.CORRUPT))
+
+
+# ---------------------------------------------------------------------------
+# Every registered site is reached by its hook
+# ---------------------------------------------------------------------------
+
+
+def _reach_geocoder(injector, tmp_path, collection):
+    SimulatedGeocoder(collection.street_map, injector=injector).geocode(
+        "via roma 10"
+    )
+
+
+def _reach_cache_read(injector, tmp_path, collection):
+    key = StageCache.key("stage", "fp")
+    StageCache(tmp_path).put(key, {"v": 1})
+    StageCache(tmp_path, injector=injector).get(key)
+
+
+def _reach_cache_write(injector, tmp_path, collection):
+    StageCache(tmp_path, injector=injector).put(StageCache.key("s", "f"), 1)
+
+
+def _reach_parallel_worker(injector, tmp_path, collection):
+    ParallelMap(n_jobs=2, min_parallel_items=1, injector=injector).map(
+        _double, range(4)
+    )
+
+
+def _small_table():
+    return Table([Column.numeric("n", [1.0, 2.0])])
+
+
+def _reach_dataset_read(injector, tmp_path, collection):
+    write_csv(_small_table(), tmp_path / "t.csv")
+    read_csv(tmp_path / "t.csv", injector=injector)
+
+
+def _reach_dataset_write(injector, tmp_path, collection):
+    write_csv(_small_table(), tmp_path / "t.csv", injector=injector)
+
+
+def _reach_serve_request(injector, tmp_path, collection):
+    store = ArtifactStore(
+        "v1", {"/": ("text/plain", lambda: "ok")}, injector=injector
+    )
+    store.get("/")
+
+
+#: site -> a call of the public entry point whose hook announces it
+_SITE_ENTRY_POINTS = {
+    "geocoder.request": _reach_geocoder,
+    "cache.read": _reach_cache_read,
+    "cache.write": _reach_cache_write,
+    "parallel.worker": _reach_parallel_worker,
+    "dataset.read": _reach_dataset_read,
+    "dataset.write": _reach_dataset_write,
+    "serve.request": _reach_serve_request,
+}
+
+
+class TestEverySiteIsHooked:
+    """A registered site no hook announces is a chaos rule that silently
+    never fires: each one must be reached through its public entry point."""
+
+    def test_entry_points_cover_exactly_the_registry(self):
+        assert sorted(_SITE_ENTRY_POINTS) == sorted(KNOWN_SITES)
+
+    @pytest.mark.parametrize("site", KNOWN_SITES)
+    def test_site_is_reached(self, site, tmp_path, collection):
+        # rate 0: the rule watches every arrival and never fires
+        injector = FaultInjector(FaultPlan.parse(f"{site}:delay@0"))
+        _SITE_ENTRY_POINTS[site](injector, tmp_path, collection)
+        assert injector.arrivals(site) >= 1
+        assert injector.events == []
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +602,7 @@ class TestCleanerResilience:
 # ---------------------------------------------------------------------------
 
 
-def _double(x):
+def _double(state, x):
     return 2 * x
 
 

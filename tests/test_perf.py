@@ -1,6 +1,7 @@
 """Tests for the performance layer: executor, stage cache, parallel cleaning."""
 
 import dataclasses
+import functools
 import os
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from repro.dataset import (
     generate_epc_collection,
 )
 from repro.dataset.table import Column, ColumnKind, Table
+from repro.perf import parallel as parallel_module
 from repro.perf import (
     ParallelMap,
     StageCache,
@@ -33,40 +35,56 @@ from repro.preprocessing.address_cleaner import AddressCleaner, CleaningConfig
 from repro.preprocessing.outliers import OutlierMethod
 
 
-def _square(x):
+def _square(state, x):
     return x * x
 
 
-def _tag_worker(x):
+def _tag_worker(state, x):
     return ("tagged", x)
 
 
 _PARENT_PID = os.getpid()
 
 
-def _die_in_worker(x):
+def _die_in_worker(state, x):
     """Hard-crash a worker process (never the parent's serial path)."""
     if os.getpid() != _PARENT_PID:
         os._exit(1)
     return x * x
 
 
-def _raise_on_three(x):
+def _raise_on_three(state, x):
     if x == 3:
         raise ValueError(f"bad item {x}")
     return x
 
 
-_OFFSET = 0
+def _offset_state(value):
+    return {"offset": value, "pid": os.getpid()}
 
 
-def _set_offset(value):
-    global _OFFSET
-    _OFFSET = value
+def _add_offset(state, x):
+    return x + state["offset"]
 
 
-def _add_offset(x):
-    return x + _OFFSET
+def _state_pid(state, x):
+    return state["pid"]
+
+
+def _scale(state, x):
+    factor, shift = state
+    return x * factor + shift
+
+
+def _shifted(shift, state, x):
+    return x + shift
+
+
+def _nested_function():
+    def inner(state, x):
+        return x
+
+    return inner
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +147,37 @@ class TestParallelMap:
         assert out == [("tagged", "a"), ("tagged", "b"), ("tagged", "c")]
 
 
+class TestParallelMapRejectsUnpicklableCallables:
+    """A lambda or a ``<locals>`` function cannot reach a pool worker, so
+    the serial path rejects it too: a map never works only at one job."""
+
+    CALLABLES = {
+        "lambda": lambda state, x: x,
+        "nested": _nested_function(),
+        "partial-of-lambda": functools.partial(lambda a, state, x: x, 1),
+        "partial-of-nested": functools.partial(_nested_function()),
+    }
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("name", sorted(CALLABLES))
+    def test_map_and_map_tasks_reject(self, name, n_jobs):
+        ex = ParallelMap(n_jobs=n_jobs, min_parallel_items=1)
+        func = self.CALLABLES[name]
+        with pytest.raises(TypeError, match="module-level"):
+            ex.map(func, range(8))
+        with pytest.raises(TypeError, match="module-level"):
+            ex.map_tasks(func, range(3))
+        with pytest.raises(TypeError, match="module-level"):
+            ex.map(_square, range(8), setup=func)
+        assert ex.fallbacks == 0
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_partial_of_a_module_level_function_is_accepted(self, n_jobs):
+        ex = ParallelMap(n_jobs=n_jobs, min_parallel_items=1)
+        func = functools.partial(_shifted, 10)
+        assert ex.map(func, range(4)) == [10, 11, 12, 13]
+
+
 class TestParallelMapFailureModes:
     """A crash of the *infrastructure* is recoverable (serial fallback);
     a bug in the *mapped function* is not — it propagates unchanged."""
@@ -145,12 +194,28 @@ class TestParallelMapFailureModes:
             ex.map(_raise_on_three, range(10))
 
     def test_n_jobs_one_equivalent_with_initializer(self):
+        # the setup builds the state each call of the mapped function sees
         serial = ParallelMap(n_jobs=1)
         parallel = ParallelMap(n_jobs=2, min_parallel_items=1)
-        args = (_set_offset, (7,))
-        a = serial.map(_add_offset, range(30), *args)
-        b = parallel.map(_add_offset, range(30), *args)
+        setup = dict(setup=_offset_state, args=(7,))
+        a = serial.map(_add_offset, range(30), **setup)
+        b = parallel.map(_add_offset, range(30), **setup)
         assert a == b == [x + 7 for x in range(30)]
+        # without a setup the state is the args themselves
+        assert serial.map_tasks(_scale, range(5), args=(3, 1)) == (
+            parallel.map_tasks(_scale, range(5), args=(3, 1))
+        ) == [3 * x + 1 for x in range(5)]
+
+    def test_state_is_built_in_each_worker_and_never_in_the_parent(self):
+        ex = ParallelMap(n_jobs=2, min_parallel_items=1)
+        pids = ex.map(_state_pid, range(40), setup=_offset_state, args=(0,))
+        assert os.getpid() not in pids
+        assert parallel_module._WORKER_STATE is None
+        serial = ParallelMap(n_jobs=1)
+        assert set(
+            serial.map(_state_pid, range(3), setup=_offset_state, args=(0,))
+        ) == {os.getpid()}
+        assert parallel_module._WORKER_STATE is None
 
     def test_worker_death_falls_back_serially(self):
         # a genuinely dead worker breaks the pool: the map is recomputed
@@ -167,15 +232,13 @@ class TestParallelMapFailureModes:
             n_jobs=2, min_parallel_items=1,
             injector=FaultInjector("parallel.worker:crash*1"),
         )
-        out = ex.map(
-            _add_offset, range(20), initializer=_set_offset, initargs=(5,)
-        )
+        out = ex.map(_add_offset, range(20), setup=_offset_state, args=(5,))
         assert out == [x + 5 for x in range(20)]
         assert ex.fallbacks == 1
 
     def test_empty_input_parallel_with_initializer(self):
         ex = ParallelMap(n_jobs=2, min_parallel_items=0)
-        assert ex.map(_add_offset, [], initializer=_set_offset, initargs=(3,)) == []
+        assert ex.map(_add_offset, [], setup=_offset_state, args=(3,)) == []
 
     def test_empty_input_never_spawns_pool(self):
         # an empty map must not pay process start-up nor touch fault sites

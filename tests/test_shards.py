@@ -662,12 +662,13 @@ class TestShardCache:
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """The ``initializer`` of every process pool started, in order."""
+    """The ``(setup, args)`` worker state of every process pool started,
+    in order."""
     starts = []
     real = parallel_module.ProcessPoolExecutor
 
     def counting(*args, **kwargs):
-        starts.append(kwargs.get("initializer"))
+        starts.append(kwargs["initargs"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", counting)
@@ -716,7 +717,11 @@ class TestShardTasksAcrossJobs:
         pooled_engine, pooled, pooled_cache = self._run(
             plan, tmp_path / "pooled", 2
         )
-        assert shards_module._init_transform_worker in pool_starts
+        # the transform tasks' pool hands each worker the run's shared
+        # state, the plan first
+        assert any(
+            args and args[0] is plan for __, args in pool_starts
+        )
         # each shard's cleaning steps precede its transform record, in
         # shard order, however the tasks were scheduled
         tagged = [t for t in self._sequence(serial_engine.log) if t[2]]
