@@ -5,17 +5,11 @@
 # lint tools (ruff, mypy) when they are installed — `--all` skips any
 # tool that is missing rather than failing, so the script works in the
 # minimal container and in a fully tooled dev checkout alike.
-#
-# The analysis cache lives under .repro-cache/ so repeated CI runs on an
-# unchanged tree are warm (<1s); the cache key includes the analyzer
-# sources, so upgrading the checker invalidates it automatically.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}"
-
-mkdir -p .repro-cache
 
 # the usage examples in the text, geo-distance, GeoJSON, DBSCAN, SVG and
 # colour-scale docstrings are tests too: a kernel change that breaks a
@@ -74,6 +68,4 @@ for workload in cold sharded; do
         --seconds 1 --trace 0
 done
 
-exec python -m repro.checks src/repro tests/test_checks.py \
-    --cache .repro-cache/checks.json \
-    --all
+exec python -m repro.checks src/repro tests/test_checks.py --all

@@ -15,9 +15,8 @@ are fork safety and fault sites: :class:`~repro.perf.parallel.ParallelMap`
 owns worker state and rejects callables that do not pickle, and
 :meth:`~repro.faults.plan.FaultInjector.arrive` rejects a site outside
 ``KNOWN_SITES``.)
-This package walks the project's own AST (with a content-hash
-incremental cache, see :mod:`.cache`) and fails the build when any of
-them drifts:
+This package walks the project's own AST, one parse per file in a
+single in-memory pass, and fails the build when any of them drifts:
 
 =========  ===========================  =========================================
 code       name                         contract
@@ -50,7 +49,6 @@ suppress an intentional site with ``# repro: noqa[RULE] — justification``.
 Exit codes distinguish findings (1) from analyzer errors (2).
 """
 
-from .cache import AnalysisCache, analysis_fingerprint
 from .checker import Checker, CheckResult, check_tree, collect_python_files
 from .cli import main
 from .model import Finding, Rule, SourceFile, all_rules, register, rule_codes
@@ -58,7 +56,6 @@ from .pragmas import PragmaIndex, parse_pragmas
 from .project import FileSummary, ProjectIndex, extract_facts, module_name_for
 
 __all__ = [
-    "AnalysisCache",
     "Checker",
     "CheckResult",
     "FileSummary",
@@ -68,7 +65,6 @@ __all__ = [
     "Rule",
     "SourceFile",
     "all_rules",
-    "analysis_fingerprint",
     "check_tree",
     "collect_python_files",
     "extract_facts",

@@ -4,14 +4,13 @@ Usage::
 
     python -m repro.checks src/repro                 # text findings, exit 1 if any
     python -m repro.checks src/ --format=json        # machine-readable output
-    python -m repro.checks src/repro --cache .checks-cache.json
-    python -m repro.checks src/repro --changed-only  # git-aware fast path
     python -m repro.checks --all                     # sweep + ruff + mypy
     python -m repro.checks --list-rules
 
 Exit codes: **0** clean, **1** findings (or unparseable files), **2**
-usage errors and internal analyzer errors — so CI can distinguish "the
-code has violations" from "the analyzer itself broke".
+usage errors (a mistyped path or rule code included) and internal
+analyzer errors — so CI can distinguish "the code has violations" from
+"the analyzer itself broke".
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .cache import AnalysisCache, analysis_fingerprint
-from .checker import Checker, CheckResult
+from .checker import Checker, CheckResult, collect_python_files
 from .model import all_rules
 
 __all__ = ["main", "build_parser", "UsageError"]
@@ -56,17 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select", metavar="RULES", default=None,
         help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--cache", metavar="PATH", default=None,
-        help="incremental analysis cache file (content-hash keyed)",
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help=(
-            "report per-file findings only for files changed vs. git HEAD "
-            "(cross-module findings are always reported)"
-        ),
     )
     parser.add_argument(
         "--all", action="store_true",
@@ -119,7 +106,7 @@ def _explain_rule(code: str, out: TextIO) -> None:
     """Print one rule's doc, rationale and fixture pair (or UsageError).
 
     Lookup is forgiving: codes match case-insensitively, and a unique
-    prefix works too (``--explain lock004``, ``--explain cache``).  An
+    prefix works too (``--explain lock003``, ``--explain float``).  An
     ambiguous prefix or an unknown code raises :class:`UsageError`
     naming the candidates — with near-miss suggestions for typos.
     """
@@ -194,31 +181,6 @@ def _select_rules(spec: str) -> list:
     return [rule for code, rule in known.items() if code in selected]
 
 
-def _changed_files() -> set[Path]:
-    """Files changed vs. HEAD (tracked modifications plus untracked)."""
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True, timeout=30,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            capture_output=True, text=True, check=True, timeout=30,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True, timeout=30,
-        ).stdout
-    except (OSError, subprocess.SubprocessError) as exc:
-        raise UsageError(f"--changed-only needs a working git checkout: {exc}")
-    root = Path(top)
-    return {
-        (root / line).resolve()
-        for line in (diff + untracked).splitlines()
-        if line.strip()
-    }
-
-
 def _render_text(result: CheckResult, out: TextIO) -> None:
     for path, message in result.errors:
         out.write(f"{path}:0:0: PARSE {message}\n")
@@ -228,8 +190,6 @@ def _render_text(result: CheckResult, out: TextIO) -> None:
         f"{result.n_files} files: {len(result.findings)} finding(s), "
         f"{result.n_suppressed} pragma-suppressed"
     )
-    if result.n_from_cache:
-        summary += f", {result.n_from_cache} from cache"
     if result.errors:
         summary += f", {len(result.errors)} unparseable"
     out.write(summary + "\n")
@@ -281,19 +241,14 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
 
     try:
         rules = _select_rules(args.select) if args.select else list(all_rules())
-        changed = _changed_files() if args.changed_only else None
-        cache = (
-            AnalysisCache(args.cache, analysis_fingerprint(rules))
-            if args.cache
-            else None
-        )
-    except (UsageError, OSError) as exc:
+        files = collect_python_files(args.paths)
+    except (UsageError, ValueError) as exc:
         out.write(f"error: {exc}\n")
         return 2
 
-    checker = Checker(rules=rules, cache=cache)
+    checker = Checker(rules=rules)
     try:
-        result = checker.run(args.paths, changed_only=changed)
+        result = checker.run(files)
     except Exception as exc:  # repro: noqa[EXC001] — boundary: an analyzer crash must exit 2, not a traceback
         out.write(f"internal analyzer error: {exc!r}\n")
         return 2

@@ -1,12 +1,12 @@
 """Core model of the invariant linter: findings, rules and the registry.
 
 A :class:`Rule` encodes one machine-checkable contract of the pipeline
-(determinism, fault-site parity, exception hygiene).  Rules are
+(determinism, exception hygiene, column lineage).  Rules are
 registered by decorating the class with :func:`register`;
 :func:`all_rules` instantiates every registered rule in stable
-(code-sorted) order.  A rule inspects parsed source files and yields
-:class:`Finding` objects — it never mutates anything and never imports
-the code under analysis.
+(code-sorted) order.  A rule inspects parsed source files or the
+project's fact index and yields :class:`Finding` objects — it never
+mutates anything and never imports the code under analysis.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
     from .project import ProjectIndex
@@ -73,13 +73,10 @@ class Rule:
     """Base class of every check.
 
     Subclasses set the class attributes and override :meth:`check_file`
-    (runs once per file; results are cacheable per content hash),
-    :meth:`check_index` (runs once per analysis over the aggregated
-    :class:`~repro.checks.project.ProjectIndex` facts — the preferred
-    form for cross-file contracts, because it never needs the ASTs of
-    cached files), or the legacy :meth:`check_project` (runs over the
-    parsed file set; forces a parse of every file, so new cross-file
-    rules should use :meth:`check_index` instead).
+    (runs once per parsed file) or :meth:`check_index` (runs once per
+    analysis over the aggregated
+    :class:`~repro.checks.project.ProjectIndex` facts, for cross-file
+    contracts).
     """
 
     #: Stable identifier, e.g. ``DET001`` (used in findings and pragmas).
@@ -95,10 +92,6 @@ class Rule:
 
     def check_index(self, index: "ProjectIndex") -> Iterator[Finding]:
         """Findings over the whole-program fact index (default: none)."""
-        return iter(())
-
-    def check_project(self, files: Sequence[SourceFile]) -> Iterator[Finding]:
-        """Findings of this rule over the whole file set (default: none)."""
         return iter(())
 
 

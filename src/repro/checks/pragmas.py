@@ -29,35 +29,7 @@ from typing import Mapping
 
 from .model import Finding
 
-__all__ = [
-    "PragmaIndex",
-    "parse_pragmas",
-    "pragma_index_to_dict",
-    "pragma_index_from_dict",
-    "PRAGMA_RE",
-]
-
-
-def pragma_index_to_dict(index: "PragmaIndex") -> dict:
-    """The JSON-cacheable form of a :class:`PragmaIndex`."""
-    return {
-        "line_codes": {
-            str(lineno): sorted(codes)
-            for lineno, codes in sorted(index.line_codes.items())
-        },
-        "file_codes": sorted(index.file_codes),
-    }
-
-
-def pragma_index_from_dict(payload: dict) -> "PragmaIndex":
-    """Rebuild a :class:`PragmaIndex` from its cached form."""
-    return PragmaIndex(
-        line_codes={
-            int(lineno): frozenset(codes)
-            for lineno, codes in payload.get("line_codes", {}).items()
-        },
-        file_codes=frozenset(payload.get("file_codes", ())),
-    )
+__all__ = ["PragmaIndex", "parse_pragmas", "PRAGMA_RE"]
 
 #: Matches ``# repro: noqa[CODE,CODE...]`` anywhere in a line.
 PRAGMA_RE = re.compile(r"#\s*repro:\s*noqa\[(?P<codes>[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)\]")

@@ -5,11 +5,10 @@ modules* (column lineage, import acyclicity) need a project-wide model.
 This module builds it in two layers:
 
 1. :func:`extract_facts` walks one parsed file and distils everything the
-   cross-module rules need into a plain JSON-serializable dict — imports,
-   module-level symbols and string constants, and the column-lineage
-   sites of :mod:`.lineage`.  Facts never hold AST nodes,
-   so they can be cached per file (content-hash keyed, see
-   :mod:`.cache`) and a warm incremental run re-parses nothing.
+   cross-module rules need into a plain dict — imports, module-level
+   symbols and string constants, and the column-lineage sites of
+   :mod:`.lineage`.  Facts never hold AST nodes, so a file's tree can be
+   dropped as soon as its per-file rules have run.
 2. :class:`ProjectIndex` aggregates one :class:`FileSummary` per file
    into the whole-program structures: the module map, the import graph
    (with Tarjan SCC cycle detection) and a project symbol table with
@@ -21,7 +20,7 @@ Rules consume the index through :meth:`~repro.checks.model.Rule.check_index`.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .lineage import extract_lineage
@@ -31,11 +30,7 @@ __all__ = [
     "ProjectIndex",
     "extract_facts",
     "module_name_for",
-    "FACTS_VERSION",
 ]
-
-#: Bump when the facts schema changes so cached summaries invalidate.
-FACTS_VERSION = 8
 
 
 def module_name_for(path: Path) -> str:
@@ -60,9 +55,8 @@ def _string_or_none(node: ast.expr) -> str | None:
 
 
 def extract_facts(tree: ast.Module) -> dict:
-    """The JSON-serializable whole-program facts of one parsed file."""
+    """The whole-program facts of one parsed file."""
     facts: dict = {
-        "version": FACTS_VERSION,
         "raw_imports": [],
         "symbols": {},
         "string_consts": {},
@@ -132,65 +126,23 @@ def extract_facts(tree: ast.Module) -> dict:
     return facts
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileSummary:
-    """Everything one analysis learned about one file.
-
-    Path-free in its cached form (:meth:`to_cache_entry`): findings and
-    facts carry only line/column anchors, so a cache entry survives a
-    checkout moving or the analysis running from a different directory.
-    ``display`` and ``module`` are recomputed on load.
-    """
+    """One parsed file as the whole-program index sees it."""
 
     path: Path
+    #: The path as reported in findings (repo-relative where possible).
     display: str
     module: str
-    content_hash: str
-    facts: dict = field(default_factory=dict)
-    #: Per-file rule findings as path-free dicts (line/col/rule/message).
-    findings: list = field(default_factory=list)
-    #: ``{"line_codes": {lineno: [codes]}, "file_codes": [codes]}``.
-    pragmas: dict = field(default_factory=dict)
-    error: str | None = None
-    from_cache: bool = False
-
-    def to_cache_entry(self) -> dict:
-        """The JSON cache payload (no absolute paths)."""
-        return {
-            "facts": self.facts,
-            "findings": self.findings,
-            "pragmas": self.pragmas,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_cache_entry(
-        cls,
-        entry: dict,
-        path: Path,
-        display: str,
-        module: str,
-        content_hash: str,
-    ) -> "FileSummary":
-        """Rehydrate a cached entry for the current checkout location."""
-        return cls(
-            path=path,
-            display=display,
-            module=module,
-            content_hash=content_hash,
-            facts=entry.get("facts", {}),
-            findings=list(entry.get("findings", ())),
-            pragmas=entry.get("pragmas", {}),
-            error=entry.get("error"),
-            from_cache=True,
-        )
+    #: :func:`extract_facts` of the file.
+    facts: dict
 
 
 class ProjectIndex:
     """The whole-program model the cross-module rules run against."""
 
     def __init__(self, summaries: list[FileSummary]):
-        self.summaries = [s for s in summaries if s.error is None]
+        self.summaries = list(summaries)
         self.by_module: dict[str, FileSummary] = {}
         for summary in self.summaries:
             # first one wins on a (pathological) duplicate module name

@@ -1,8 +1,8 @@
 """Cross-module contract rules: lineage and cycles.
 
 All four rules run against the :class:`~repro.checks.project.ProjectIndex`
-facts, so they see the whole program at once and cost nothing extra on a
-warm incremental run:
+facts, so they see the whole program at once without holding any
+file's syntax tree:
 
 * **COL001/COL002/COL003** — the column-lineage contract.  Column names
   are string literals flowing schema → stages → dashboards; a read with

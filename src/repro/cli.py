@@ -272,7 +272,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"pre-rendered {n_artifacts} artifacts "
               f"(analysis version {store.version})")
     server = ArtifactServer(store, max_inflight=args.max_inflight)
-    server.serve(args.host, args.port, workers=args.workers)
+    try:
+        server.serve(args.host, args.port, workers=args.workers)
+    except OSError as exc:  # the address is busy or not ours to bind
+        print(f"error: cannot serve on {args.host}:{args.port}: {exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -230,24 +230,6 @@ class AddressCleaner:
             raw_address,
         )
 
-    def _record_for(
-        self, street: str, house_number: str | None, lat: float, lon: float
-    ) -> AddressRecord:
-        """Pick the civic record: by number when possible, else nearest to
-        the stored coordinates, else the street's first civic."""
-        candidates = self._by_street[street]
-        number = canonical_house_number(house_number)
-        if number is not None:
-            for rec in candidates:
-                if canonical_house_number(rec.house_number) == number:
-                    return rec
-        if not (np.isnan(lat) or np.isnan(lon)):
-            return min(
-                candidates,
-                key=lambda r: equirectangular_km(lat, lon, r.latitude, r.longitude),
-            )
-        return candidates[0]
-
     # -- table-level cleaning --------------------------------------------------
 
     def _resolve_distinct(self, address: np.ndarray) -> dict[str, tuple[str | None, MatchStatus, float]]:
@@ -402,9 +384,9 @@ class AddressCleaner:
                 audits.append(RowAudit(i, status, sim, raw))
                 continue
 
-            # civic record: by canonical number when possible, else nearest
-            # to the stored coordinates, else the street's first civic
-            # (same choice order as :meth:`_record_for`)
+            # civic record: by canonical number when possible (the first
+            # civic with that number), else nearest to the stored
+            # coordinates, else the street's first civic
             candidates, num_to_first = street_info(street)
             number = canon(house_number[i])
             record = num_to_first.get(number) if number is not None else None

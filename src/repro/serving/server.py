@@ -24,6 +24,10 @@ Request lifecycle:
    gzip when the client lists it with ``q > 0``, ``Cache-Control`` on
    everything.
 
+**Silent clients**: every socket read and write times out after
+:data:`IDLE_TIMEOUT_S`, and the stdlib handler closes the connection, so
+a client that stops sending frees its worker instead of pinning it.
+
 **Graceful reload**: each request reads ``self._store`` exactly once, so
 :meth:`reload` swapping the attribute is atomic — in-flight requests
 finish on the store they started with while new requests see the new
@@ -63,6 +67,11 @@ __all__ = [
 _REVALIDATE = "public, no-cache"
 #: Error pages and health probes must never be cached.
 _NO_STORE = "no-store"
+#: Seconds a connection may sit silent (idle between keep-alive
+#: requests, or mid-request) before its worker drops it.  Each open
+#: connection holds one pool worker, so without a bound ``workers`` idle
+#: sockets would starve every other client.
+IDLE_TIMEOUT_S = 5.0
 
 _ERROR_TEMPLATE = """<!DOCTYPE html><html><head><meta charset='utf-8'>
 <title>INDICE — {status}</title><style>
@@ -414,6 +423,9 @@ class _ArtifactRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "indice-serving"
+    #: Socket timeout of every read and write; the stdlib handler turns
+    #: a timeout into a closed connection (no traceback).
+    timeout = IDLE_TIMEOUT_S
     #: Bound by :meth:`ArtifactServer._handler_class`.
     server_ref: ArtifactServer
     log_requests = True
@@ -471,7 +483,8 @@ class PooledHTTPServer(HTTPServer):
     request_queue_size = 128
 
     def __init__(self, server_address, handler_class, workers: int = 8):
-        super().__init__(server_address, handler_class)
+        # the pool exists before the bind: a failed bind calls
+        # server_close(), which must see it and let the OSError through
         self.workers = max(1, workers)
         self._connections: queue.SimpleQueue = queue.SimpleQueue()
         self._threads = [
@@ -480,6 +493,7 @@ class PooledHTTPServer(HTTPServer):
             )
             for index in range(self.workers)
         ]
+        super().__init__(server_address, handler_class)
         for thread in self._threads:
             thread.start()
 
@@ -510,4 +524,5 @@ class PooledHTTPServer(HTTPServer):
         for __ in self._threads:
             self._connections.put(None)
         for thread in self._threads:
-            thread.join(timeout=1.0)
+            if thread.ident is not None:  # unstarted when the bind failed
+                thread.join(timeout=1.0)

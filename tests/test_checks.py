@@ -93,9 +93,9 @@ class TestSelfAnalysis:
         assert result.n_files > 60
         # the documented intentional sites (serving/server.py catch-all
         # 500 + pooled-worker survival, perf/cache.py corrupt-entry-as-miss,
-        # checks/cache.py corrupt analysis cache, checks/cli.py
-        # crash-to-exit-2 boundary) are pragma'd, not invisible
-        assert result.n_suppressed == 5
+        # checks/cli.py crash-to-exit-2 boundary) are pragma'd, not
+        # invisible
+        assert result.n_suppressed == 4
 
     def test_checker_analyzes_itself(self):
         result = Checker().run([SRC / "checks"])
@@ -170,9 +170,9 @@ class TestOutputFormats:
         assert code == 1
         payload = json.loads(out.getvalue())
         assert set(payload) == {
-            "version", "files", "cached", "suppressed", "errors", "findings",
+            "version", "files", "suppressed", "errors", "findings",
         }
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert payload["files"] == 1
         assert len(payload["findings"]) == 2
         for finding in payload["findings"]:
@@ -366,7 +366,7 @@ class TestExitCodes:
             def __init__(self, *args, **kwargs):
                 pass
 
-            def run(self, paths, changed_only=None):
+            def run(self, paths):
                 raise RuntimeError("rule exploded mid-analysis")
 
         monkeypatch.setattr("repro.checks.cli.Checker", BoomChecker)
@@ -375,129 +375,31 @@ class TestExitCodes:
         assert code == 2
         assert "internal analyzer error" in out.getvalue()
 
+    @pytest.mark.parametrize(
+        "name",
+        ["no_such_dir", "no_such_module.py", "README.md"],
+        ids=["missing-dir", "missing-file", "not-python"],
+    )
+    def test_bad_path_is_usage_error_before_analysis(
+        self, name, tmp_path, monkeypatch
+    ):
+        (tmp_path / "README.md").write_text("# not python\n")
 
-class TestIncrementalCache:
-    def _tree(self, tmp_path: Path) -> Path:
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "clean.py").write_text("def f(a=None):\n    return a\n")
-        (tree / "dirty.py").write_text("def g(b=[]):\n    return b\n")
-        return tree
+        class NeverRuns:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("analysis ran despite a bad path")
 
-    def _run(self, tree: Path, cache: Path):
-        from repro.checks import AnalysisCache, analysis_fingerprint
-
-        rules = all_rules()
-        checker = Checker(
-            rules=rules,
-            cache=AnalysisCache(cache, analysis_fingerprint(rules)),
+        monkeypatch.setattr("repro.checks.cli.Checker", NeverRuns)
+        bad = tmp_path / name
+        out = io.StringIO()
+        code = checks_main(
+            [str(FIXTURES / "mut001_good.py"), str(bad)], out=out
         )
-        return checker.run([tree])
-
-    def test_warm_run_reuses_every_summary(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = self._run(tree, cache)
-        assert cold.n_from_cache == 0
-        warm = self._run(tree, cache)
-        assert warm.n_from_cache == warm.n_files == 2
-        assert warm.findings == cold.findings
-        assert warm.n_suppressed == cold.n_suppressed
-
-    def test_editing_one_file_reanalyzes_only_it(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        self._run(tree, cache)
-        (tree / "dirty.py").write_text("def g(b=None):\n    return b\n")
-        result = self._run(tree, cache)
-        assert result.n_from_cache == 1
-        assert result.findings == []
-
-    def test_corrupt_cache_degrades_to_full_run(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = self._run(tree, cache)
-        cache.write_text("{ not json !!")
-        again = self._run(tree, cache)
-        assert again.n_from_cache == 0
-        assert again.findings == cold.findings
-
-    def test_rule_selection_changes_invalidate_the_cache(self, tmp_path):
-        from repro.checks import AnalysisCache, analysis_fingerprint
-
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        mut_only = [r for r in all_rules() if r.code == "MUT001"]
-        Checker(
-            rules=mut_only,
-            cache=AnalysisCache(cache, analysis_fingerprint(mut_only)),
-        ).run([tree])
-        full = self._run(tree, cache)
-        assert full.n_from_cache == 0  # different fingerprint, no reuse
-
-    def test_cli_cache_flag(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        argv = [str(tree), "--cache", str(cache), "--format", "json"]
-        first = io.StringIO()
-        assert checks_main(argv, out=first) == 1
-        second = io.StringIO()
-        assert checks_main(argv, out=second) == 1
-        cold, warm = json.loads(first.getvalue()), json.loads(second.getvalue())
-        assert cold["cached"] == 0
-        assert warm["cached"] == warm["files"] == 2
-        assert warm["findings"] == cold["findings"]
-
-
-class TestChangedOnly:
-    @pytest.fixture()
-    def git_tree(self, tmp_path, monkeypatch):
-        import shutil
-        import subprocess
-
-        if shutil.which("git") is None:
-            pytest.skip("git is not installed in this environment")
-        monkeypatch.chdir(tmp_path)
-
-        def git(*argv):
-            subprocess.run(
-                ["git", *argv], cwd=tmp_path, check=True,
-                capture_output=True, timeout=60,
-            )
-
-        git("init", "-q")
-        git("config", "user.email", "checks@example.invalid")
-        git("config", "user.name", "checks")
-        (tmp_path / "stale.py").write_text("def f(a=[]):\n    return a\n")
-        (tmp_path / "edited.py").write_text("def g(b=None):\n    return b\n")
-        git("add", ".")
-        git("commit", "-q", "-m", "seed")
-        return tmp_path
-
-    def test_only_changed_files_report_per_file_findings(self, git_tree):
-        (git_tree / "edited.py").write_text("def g(b=[]):\n    return b\n")
-        (git_tree / "fresh.py").write_text("def h(c={}):\n    return c\n")
-        out = io.StringIO()
-        code = checks_main([str(git_tree), "--changed-only"], out=out)
-        assert code == 1
-        text = out.getvalue()
-        # stale.py's committed violation is filtered; the edit and the
-        # untracked file are reported
-        assert "stale.py" not in text
-        assert "edited.py" in text
-        assert "fresh.py" in text
-
-    def test_changed_only_outside_git_is_usage_error(self, tmp_path, monkeypatch):
-        import subprocess
-
-        def boom(*args, **kwargs):
-            raise subprocess.SubprocessError("not a git repository")
-
-        monkeypatch.setattr("repro.checks.cli.subprocess.run", boom)
-        out = io.StringIO()
-        code = checks_main([str(tmp_path), "--changed-only"], out=out)
         assert code == 2
-        assert "--changed-only" in out.getvalue()
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert str(bad) in lines[0]
 
 
 class TestProjectIndex:

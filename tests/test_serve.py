@@ -334,6 +334,109 @@ class TestSocketRegressions:
         assert b"INDICE" in body
 
 
+class TestSilentConnections:
+    """A silent socket holds a pool worker only until the idle timeout."""
+
+    IDLE = b""
+    HALF_SENT = b"GET /report HTTP/1.1\r\nHost: localhost\r\n"
+
+    @staticmethod
+    def _healthz_after_silent(server, payload, workers, timeout):
+        """``(status, seconds)`` of ``/healthz`` behind *workers* silent
+        sockets (each sends *payload*, then nothing), and whether the
+        server then closed every one of them."""
+        import http.client
+        import socket
+        import time
+
+        with server.serving(workers=workers) as (httpd, __):
+            port = httpd.server_address[1]
+            silent = [
+                socket.create_connection(("127.0.0.1", port), timeout=10)
+                for __ in range(workers)
+            ]
+            try:
+                for sock in silent:
+                    if payload:
+                        sock.sendall(payload)
+                time.sleep(0.2)  # the pool's workers pick the silent ones up
+                start = time.perf_counter()
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", port, timeout=timeout + 5.0
+                )
+                try:
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                finally:
+                    conn.close()
+                elapsed = time.perf_counter() - start
+                closed = all(sock.recv(1) == b"" for sock in silent)
+            finally:
+                for sock in silent:
+                    sock.close()
+        return response.status, elapsed, closed
+
+    @pytest.mark.parametrize("payload", [IDLE, HALF_SENT], ids=["idle", "half-sent"])
+    def test_silent_sockets_do_not_starve_the_pool(
+        self, server, payload, monkeypatch, capfd
+    ):
+        from repro.serving.server import IDLE_TIMEOUT_S, _ArtifactRequestHandler
+
+        assert _ArtifactRequestHandler.timeout == IDLE_TIMEOUT_S
+        timeout = 0.5  # lowered from the default to keep the test fast
+        monkeypatch.setattr(_ArtifactRequestHandler, "timeout", timeout)
+        status, elapsed, closed = self._healthz_after_silent(
+            server, payload, workers=2, timeout=timeout
+        )
+        assert status == 200
+        assert elapsed < timeout + 2.0
+        assert closed  # the server dropped each silent socket
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_default_timeout_frees_the_pool(self, server, capfd):
+        from repro.serving.server import IDLE_TIMEOUT_S
+
+        status, elapsed, closed = self._healthz_after_silent(
+            server, self.IDLE, workers=2, timeout=IDLE_TIMEOUT_S
+        )
+        assert status == 200
+        assert elapsed < IDLE_TIMEOUT_S + 2.0
+        assert closed
+        assert "Traceback" not in capfd.readouterr().err
+
+
+class TestBusyPort:
+    """Binding a port that is taken fails with the bind's own OSError."""
+
+    @pytest.fixture()
+    def busy_port(self):
+        import socket
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            yield holder.getsockname()[1]
+
+    def test_serving_raises_the_bind_error(self, server, busy_port):
+        with pytest.raises(OSError):
+            with server.serving(port=busy_port):
+                pass
+
+    def test_cli_exits_two_naming_the_address(self, busy_port, capsys):
+        from repro.cli import main
+
+        code = main([
+            "serve", "--certificates", "300", "--no-prerender",
+            "--port", str(busy_port),
+        ])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert f"127.0.0.1:{busy_port}" in lines[0]
+
+
 class TestWritePayload:
     """The disconnect-absorbing socket write used by every handler."""
 
